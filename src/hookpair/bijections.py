@@ -32,7 +32,7 @@ from .diagrams import (
     multiset_to_json,
     multiset_union,
 )
-from .dyck import build_dyck, build_sigma, label_cells, pair_updown
+from .dyck import build_dyck, build_sigma, pair_updown
 from .errors import CellNotInT, CounterexampleFound
 
 __all__ = [
@@ -108,6 +108,24 @@ def rot_T(p: Partition, x: Cell) -> Cell:
     return (p.k + 1 - r, p.n + p.part(1) - p.part(p.k) + 1 - c)
 
 
+def _phi(p: Partition, strip: CellSet) -> CellMap:
+    """phi_map with the strip T already built."""
+    a, k, n = p.parts, p.k, p.n
+    entries = []
+    for i in range(1, n + 1):
+        sigma = build_sigma(p, i)
+        pairing = pair_updown(build_dyck(sigma))
+        for lab in sigma:
+            if lab.kind != "x":
+                continue
+            row = pairing[lab.index]
+            # row r of T* spans columns a_{k+1-r}-a_k+1 .. n+a_{k+1-r}-a_k
+            target = (row, n + a[k - row] - a[-1] - i + 1)
+            al = (strip.arm(lab.cell), strip.leg(lab.cell))
+            entries.append(MapEntry(lab.cell, target, "Tstar", al))
+    return CellMap("T", entries)
+
+
 def phi_map(p: Partition) -> CellMap:
     """The strip bijection T -> T*.
 
@@ -117,18 +135,50 @@ def phi_map(p: Partition) -> CellMap:
     bounding box of the arm-prefix at cut i, of the rightmost cell of T in
     row k+1-P_i(j).
     """
-    strip = build_region(p, "T")
-    star = build_region(p, "Tstar")
+    return _phi(p, build_region(p, "T"))
+
+
+def _zeta1(p: Partition, sq: CellSet, v: CellSet, r1: CellSet) -> CellMap:
+    width = p.part(1)
     entries = []
-    for i in range(1, p.n + 1):
-        pairing = pair_updown(build_dyck(build_sigma(p, i)))
-        xs, _ = label_cells(p, i)
-        for lab in xs:
-            row = pairing[lab.index]
-            target = (row, star.row_cols(row)[-i])
-            al = (strip.arm(lab.cell), strip.leg(lab.cell))
-            entries.append(MapEntry(lab.cell, target, "Tstar", al))
-    return CellMap("T", entries)
+    for j in range(1, width + 1):
+        src_col = p.n + j
+        dst_col = p.n - width + j
+        src_rows = v.col_rows(src_col)
+        dst_rows = r1.col_rows(dst_col)
+        for sr, dr in zip(reversed(src_rows), reversed(dst_rows), strict=True):
+            src = (sr, src_col)
+            entries.append(
+                MapEntry(src, (dr, dst_col), "R", (sq.arm(src), sq.leg(src)))
+            )
+    return CellMap("V", entries)
+
+
+def _zeta2(p: Partition, star: CellSet, t1star: CellSet) -> CellMap:
+    entries = [
+        MapEntry(
+            (r, c),
+            (r, c - (p.part(p.k - r + 1) - p.part(p.k))),
+            "R",
+            (star.arm((r, c)), star.leg((r, c))),
+        )
+        for r, c in t1star
+    ]
+    return CellMap("T1star", entries)
+
+
+def _zeta3(p: Partition, star: CellSet, t2star: CellSet) -> CellMap:
+    shift = p.n - p.part(p.k)
+    entries = [
+        MapEntry(
+            (r, c),
+            (r, c - shift),
+            "D",
+            (star.arm((r, c)), star.leg((r, c))),
+        )
+        for r, c in t2star
+    ]
+    return CellMap("T2star", entries)
 
 
 def zeta_map(p: Partition, kind: int) -> CellMap:
@@ -141,48 +191,29 @@ def zeta_map(p: Partition, kind: int) -> CellMap:
     ambient regions (SQ for kind 1, T* for kinds 2 and 3).
     """
     if kind == 1:
-        sq = build_region(p, "SQ")
-        v = build_region(p, "V")
-        r1 = build_region(p, "R1")
-        width = p.part(1)
-        entries = []
-        for j in range(1, width + 1):
-            src_col = p.n + j
-            dst_col = p.n - width + j
-            src_rows = v.col_rows(src_col)
-            dst_rows = r1.col_rows(dst_col)
-            for sr, dr in zip(reversed(src_rows), reversed(dst_rows), strict=True):
-                src = (sr, src_col)
-                entries.append(
-                    MapEntry(src, (dr, dst_col), "R", (sq.arm(src), sq.leg(src)))
-                )
-        return CellMap("V", entries)
+        return _zeta1(
+            p, build_region(p, "SQ"), build_region(p, "V"), build_region(p, "R1")
+        )
     if kind == 2:
-        star = build_region(p, "Tstar")
-        entries = [
-            MapEntry(
-                (r, c),
-                (r, c - (p.part(p.k - r + 1) - p.part(p.k))),
-                "R",
-                (star.arm((r, c)), star.leg((r, c))),
-            )
-            for r, c in build_region(p, "T1star")
-        ]
-        return CellMap("T1star", entries)
+        return _zeta2(p, build_region(p, "Tstar"), build_region(p, "T1star"))
     if kind == 3:
-        star = build_region(p, "Tstar")
-        shift = p.n - p.part(p.k)
-        entries = [
-            MapEntry(
-                (r, c),
-                (r, c - shift),
-                "D",
-                (star.arm((r, c)), star.leg((r, c))),
-            )
-            for r, c in build_region(p, "T2star")
-        ]
-        return CellMap("T2star", entries)
+        return _zeta3(p, build_region(p, "Tstar"), build_region(p, "T2star"))
     raise ValueError(f"zeta kind must be 1, 2 or 3, got {kind!r}")
+
+
+def _psi(p: Partition, sq: CellSet) -> CellMap:
+    """psi_map with SQ already built; every other region is built once."""
+    star = build_region(p, "Tstar")
+    z1 = _zeta1(p, sq, build_region(p, "V"), build_region(p, "R1"))
+    z2 = _zeta2(p, star, build_region(p, "T1star"))
+    z3 = _zeta3(p, star, build_region(p, "T2star"))
+    entries = list(z1.entries)
+    for e in _phi(p, build_region(p, "T")):
+        y = e.target
+        follow = z2[y] if y in z2 else z3[y]
+        al = (sq.arm(e.source), sq.leg(e.source))
+        entries.append(MapEntry(e.source, follow.target, follow.target_tag, al))
+    return CellMap("SQ", entries)
 
 
 def psi_map(p: Partition) -> CellMap:
@@ -192,17 +223,7 @@ def psi_map(p: Partition) -> CellMap:
     cells go through phi into T*; images landing in the left half T*1 are
     shifted into R2, the rest are translated onto D.
     """
-    sq = build_region(p, "SQ")
-    z1 = zeta_map(p, 1)
-    z2 = zeta_map(p, 2)
-    z3 = zeta_map(p, 3)
-    entries = list(z1.entries)
-    for e in phi_map(p):
-        y = e.target
-        follow = z2[y] if y in z2 else z3[y]
-        al = (sq.arm(e.source), sq.leg(e.source))
-        entries.append(MapEntry(e.source, follow.target, follow.target_tag, al))
-    return CellMap("SQ", entries)
+    return _psi(p, build_region(p, "SQ"))
 
 
 @dataclass(frozen=True)
@@ -345,7 +366,7 @@ def theorem_report(p: Partition, which: int) -> dict:
         left = al_multiset(strip, strip)
         right = al_multiset(star, star)
         cert = build_certificate(
-            phi_map(p), strip, strip, {"Tstar": (star, star)}, "al"
+            _phi(p, strip), strip, strip, {"Tstar": (star, star)}, "al"
         )
         sides = multiset_to_json(left), multiset_to_json(right)
     elif which in (1, 2):
@@ -356,14 +377,14 @@ def theorem_report(p: Partition, which: int) -> dict:
         if which == 2:
             left = al_multiset(sq, sq)
             right = multiset_union(al_multiset(rect, rect), al_multiset(dgm, dgm))
-            cert = build_certificate(psi_map(p), sq, sq, targets, "al")
+            cert = build_certificate(_psi(p, sq), sq, sq, targets, "al")
             sides = multiset_to_json(left), multiset_to_json(right)
         else:
             left = hook_multiset(sq, sq)
             right = multiset_union(
                 hook_multiset(rect, rect), hook_multiset(dgm, dgm)
             )
-            cert = build_certificate(psi_map(p), sq, sq, targets, "hook")
+            cert = build_certificate(_psi(p, sq), sq, sq, targets, "hook")
             sides = hook_multiset_to_json(left), hook_multiset_to_json(right)
     else:
         raise ValueError(f"theorem must be 1, 2 or 3, got {which!r}")

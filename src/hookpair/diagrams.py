@@ -15,9 +15,11 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     CellNotInSet,
+    EmptyField,
     EmptySet,
     IndexOutOfRange,
     NotASubset,
+    NotAnInteger,
     NotWeaklyDecreasing,
     PartExceedsN,
     WrongLength,
@@ -40,23 +42,37 @@ class Partition:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+        parts = tuple(self.parts)
+        object.__setattr__(self, "parts", parts)
+        if type(self.k) is not int or type(self.n) is not int:
+            raise NotAnInteger(f"bounds must be integers, got k={self.k!r}, n={self.n!r}")
         if self.k < 1 or self.n < 1:
             raise ValueError("bounds k and n must be positive")
-        if len(self.parts) != self.k:
-            raise WrongLength(f"need exactly {self.k} parts, got {len(self.parts)}")
-        for a, b in zip(self.parts, self.parts[1:]):
-            if a < b:
-                raise NotWeaklyDecreasing(f"parts must be weakly decreasing: {self.parts}")
-        if self.parts[-1] < 0:
-            raise NotWeaklyDecreasing(f"parts must be non-negative: {self.parts}")
-        if self.parts[0] > self.n:
-            raise PartExceedsN(f"part {self.parts[0]} exceeds bound n={self.n}")
+        if len(parts) != self.k:
+            raise WrongLength(f"need exactly {self.k} parts, got {len(parts)}")
+        # one pass: the type check runs before each comparison
+        prev = parts[0]
+        for a in parts:
+            if type(a) is not int:
+                raise NotAnInteger(f"parts must be integers, got {a!r} in {parts}")
+            if a > prev:
+                raise NotWeaklyDecreasing(f"parts must be weakly decreasing: {parts}")
+            prev = a
+        if parts[-1] < 0:
+            raise NotWeaklyDecreasing(f"parts must be non-negative: {parts}")
+        if parts[0] > self.n:
+            raise PartExceedsN(f"part {parts[0]} exceeds bound n={self.n}")
 
     @classmethod
     def from_text(cls, text: str, k: int, n: int) -> "Partition":
-        """Parse comma-separated parts, padding omitted trailing zeros to length k."""
-        items = [s for s in (piece.strip() for piece in text.split(",")) if s]
+        """Parse comma-separated parts, padding omitted trailing zeros to length k.
+
+        A blank text means all parts are zero; an empty field such as the
+        middle one of ``"3,,1"`` is an error.
+        """
+        items = [piece.strip() for piece in text.split(",")] if text.strip() else []
+        if "" in items:
+            raise EmptyField(f"empty field in parts {text!r}")
         parts = tuple(int(s) for s in items)
         if len(parts) > k:
             raise WrongLength(f"got {len(parts)} parts for k={k}")

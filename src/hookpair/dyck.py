@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Cell, CellSet, Partition, build_region
+from .diagrams import Cell, Partition
 from .errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
 
 __all__ = [
@@ -110,13 +110,12 @@ def label_cells(p: Partition, i: int) -> tuple[list[Label], list[Label]]:
     families occupy the same cells.
     """
     _require_cut(p, i)
-    strip = build_region(p, "T")
-    xs, zs = [], []
-    for j in range(1, p.k + 1):
-        cols = strip.row_cols(j)
-        xs.append(Label("x", j, (j, cols[-i])))
-        cols_top = strip.row_cols(p.k + 1 - j)
-        zs.append(Label("z", j, (p.k + 1 - j, cols_top[-1])))
+    # row j of T spans columns a1-a_j+1 .. n+a1-a_j, so both label cells
+    # follow from the parts without building the strip
+    a, k = p.parts, p.k
+    right = p.n + a[0]
+    xs = [Label("x", j, (j, right - a[j - 1] - i + 1)) for j in range(1, k + 1)]
+    zs = [Label("z", j, (k + 1 - j, right - a[k - j])) for j in range(1, k + 1)]
     return xs, zs
 
 

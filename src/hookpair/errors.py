@@ -17,6 +17,14 @@ class WrongLength(HookpairError, ValueError):
     """Partition does not have exactly k parts."""
 
 
+class NotAnInteger(HookpairError, TypeError):
+    """A part or a bound is not an ``int`` (``bool`` and ``float`` included)."""
+
+
+class EmptyField(HookpairError, ValueError):
+    """A comma-separated list of parts has an empty field."""
+
+
 class EmptySet(HookpairError, ValueError):
     """Operation needs at least one cell."""
 
@@ -55,6 +63,10 @@ class KindWithoutDiagonal(HookpairError, ValueError):
 
 class NoShiftRow(HookpairError, ValueError):
     """No row of the strip lies above the diagonal for this arm index."""
+
+
+class CaseMismatch(HookpairError, ValueError):
+    """A sweep case's alpha differs from the one its lambda determines."""
 
 
 class CounterexampleFound(HookpairError, AssertionError):

@@ -37,6 +37,7 @@ from .errors import (
     IndexOutOfRange,
     KindWithoutDiagonal,
     NoShiftRow,
+    NotAnInteger,
     NotWeaklyDecreasing,
     PartExceedsN,
     WrongN,
@@ -67,14 +68,22 @@ class StrictPartition:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(x) for x in self.parts))
+        parts = tuple(self.parts)
+        object.__setattr__(self, "parts", parts)
+        if type(self.k) is not int:
+            raise NotAnInteger(f"bound k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"bound k must be positive, got {self.k}")
-        for a, b in zip(self.parts, self.parts[1:]):
-            if a <= b:
+        # one pass: the type check runs before each comparison
+        prev = None
+        for a in parts:
+            if type(a) is not int:
+                raise NotAnInteger(f"parts must be integers, got {a!r} in {parts}")
+            if prev is not None and prev <= a:
                 raise NotWeaklyDecreasing(
-                    f"parts must strictly decrease, got {a} before {b}"
+                    f"parts must strictly decrease, got {prev} before {a}"
                 )
+            prev = a
         if self.parts and self.parts[-1] < 1:
             raise ValueError("parts must be positive")
         if self.parts and self.parts[0] > self.k:

@@ -11,6 +11,7 @@ the same configuration.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -18,6 +19,7 @@ from typing import Iterator
 
 from .bijections import theorem_report
 from .diagrams import Partition
+from .errors import CaseMismatch
 from .projective import ClassBPartition, StrictPartition, alpha_from_strict, projective_report
 
 __all__ = [
@@ -110,7 +112,11 @@ def _case_verdict(case: tuple) -> bool:
         return report["verdict"] == "pass"
     _, alpha_parts, lam_parts, k = case
     b = alpha_from_strict(StrictPartition(lam_parts, k))
-    assert b.alpha.parts == alpha_parts
+    if b.alpha.parts != alpha_parts:
+        raise CaseMismatch(
+            f"case alpha {alpha_parts} differs from {b.alpha.parts}, "
+            f"the alpha of lambda {lam_parts}"
+        )
     return projective_report(b)["theorem"] == "pass"
 
 
@@ -158,12 +164,18 @@ class SweepReport:
             fh.write(data)
 
 
+def _worker_count(jobs: int, n_cases: int) -> int:
+    """Processes a sweep starts: jobs, capped by the CPU and case counts."""
+    return max(1, min(jobs, os.cpu_count() or 1, n_cases))
+
+
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Run every selected check over the enumerated inputs."""
     started = time.monotonic()
     cases = _enumerate_cases(cfg)
-    if cfg.jobs > 1:
-        with Pool(cfg.jobs) as pool:
+    workers = _worker_count(cfg.jobs, len(cases))
+    if workers > 1:
+        with Pool(workers) as pool:
             verdicts = pool.map(_case_verdict, cases, chunksize=16)
     else:
         verdicts = [_case_verdict(c) for c in cases]

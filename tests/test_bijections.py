@@ -1,8 +1,10 @@
 """Tests for the region maps, their certificates, and the identity checks."""
 
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given
 
 from hookpair.bijections import (
     CellMap,
@@ -18,7 +20,7 @@ from hookpair.bijections import (
 from hookpair.diagrams import Partition, al_multiset, arm_slice, build_region
 from hookpair.errors import CellNotInT, CounterexampleFound
 
-from util import sweep_partitions
+from util import partitions, phi_reference_json, sweep_partitions
 
 BIG = Partition((11, 11, 9, 8, 8, 6, 3, 1, 0), k=9, n=11)
 FIG = Partition((6, 5, 3, 1), k=4, n=6)
@@ -102,6 +104,58 @@ class TestPhi:
                 src = arm_slice(strip, i).cells
                 dst = arm_slice(star, i).cells
                 assert {cmap[c].target for c in src} == dst, (p, i)
+
+
+class TestPhiReference:
+    def test_matches_reference_sweep(self):
+        for p in sweep_partitions(4, 4):
+            assert phi_map(p).to_json() == phi_reference_json(p), p
+
+    @given(partitions(max_k=8, max_n=8))
+    def test_matches_reference_sample(self, p):
+        assert phi_map(p).to_json() == phi_reference_json(p)
+
+
+class TestRegionBuilds:
+    """phi, psi and the reports build a fixed set of regions, however many cuts."""
+
+    @staticmethod
+    def count_builds(monkeypatch, run):
+        import hookpair.diagrams as dg
+
+        original = dg.build_region
+        calls = []
+
+        def counting(p, kind):
+            calls.append(kind)
+            return original(p, kind)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("hookpair") and vars(mod).get("build_region") is original:
+                monkeypatch.setattr(mod, "build_region", counting)
+        run()
+        monkeypatch.undo()
+        return sorted(calls)
+
+    NARROW = Partition((3, 2, 2, 0), k=4, n=3)
+    WIDE = Partition((12, 7, 7, 0), k=4, n=12)
+
+    def test_phi_builds_do_not_grow_with_n(self, monkeypatch):
+        narrow = self.count_builds(monkeypatch, lambda: phi_map(self.NARROW))
+        wide = self.count_builds(monkeypatch, lambda: phi_map(self.WIDE))
+        assert narrow == wide == ["T"]
+
+    def test_reports_build_each_region_once(self, monkeypatch):
+        # SQ is built from T and V inside build_region, hence those repeats
+        expected = {
+            1: ["D", "R", "R1", "SQ", "T", "T", "T1star", "T2star", "Tstar", "V", "V"],
+            3: ["T", "Tstar"],
+        }
+        expected[2] = expected[1]
+        for which in (1, 2, 3):
+            for p in (self.NARROW, self.WIDE):
+                built = self.count_builds(monkeypatch, lambda: theorem_report(p, which))
+                assert built == expected[which], (p, which)
 
 
 class TestZeta:
@@ -270,7 +324,9 @@ class TestTheorems:
         p = Partition((1, 0), k=2, n=1)
         strip = build_region(p, "T")
 
-        def broken(_):
+        # theorem_report hands its strip to the private _phi, so the broken
+        # map replaces that function
+        def broken(_p, _strip):
             return CellMap(
                 "T",
                 [
@@ -279,7 +335,7 @@ class TestTheorems:
                 ],
             )
 
-        monkeypatch.setattr(bj, "phi_map", broken)
+        monkeypatch.setattr(bj, "_phi", broken)
         with pytest.raises(CounterexampleFound) as exc:
             verify_theorem(p, 3)
         assert exc.value.case["theorem"] == 3

@@ -77,6 +77,15 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    def test_empty_alpha_field_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            "verify", "--k", "3", "--n", "3", "--alpha", "3,,1",
+            "--theorem", "1", capsys=capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: empty field" in err
+
     def test_increasing_alpha_is_usage_error(self, capsys):
         code, _, err = run_cli(
             "verify", "--k", "2", "--n", "3", "--alpha", "1,2",

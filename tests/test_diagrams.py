@@ -20,9 +20,12 @@ from hookpair.diagrams import (
 )
 from hookpair.errors import (
     CellNotInSet,
+    EmptyField,
     EmptySet,
+    HookpairError,
     IndexOutOfRange,
     NotASubset,
+    NotAnInteger,
     NotWeaklyDecreasing,
     PartExceedsN,
     WrongLength,
@@ -69,6 +72,31 @@ class TestPartition:
     def test_from_text_too_many(self):
         with pytest.raises(WrongLength):
             Partition.from_text("1,1,1", 2, 3)
+
+    @pytest.mark.parametrize("text", ["3,,1", ",3", "3,", " , "])
+    def test_from_text_rejects_empty_field(self, text):
+        with pytest.raises(EmptyField):
+            Partition.from_text(text, 3, 4)
+
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_from_text_blank_is_all_zero(self, text):
+        assert Partition.from_text(text, 3, 4).parts == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "parts, k, n",
+        [
+            ((1.5,), 1, 2),
+            ((True,), 1, 1),
+            ((2, False), 2, 2),
+            ((2, "1"), 2, 2),
+            ((1,), 1.0, 2),
+            ((1,), 1, True),
+        ],
+    )
+    def test_non_int_rejected(self, parts, k, n):
+        with pytest.raises(NotAnInteger) as exc:
+            Partition(parts, k, n)
+        assert isinstance(exc.value, HookpairError)
 
     def test_conjugate_small(self):
         assert conjugate(Partition((2, 1), 2, 2)).parts == (2, 1)

@@ -1,6 +1,8 @@
 """Tests for the label word, the lattice path, and the up/down pairing."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hookpair.diagrams import Partition, arm_prefix, build_region
 from hookpair.dyck import (
@@ -15,7 +17,7 @@ from hookpair.dyck import (
 )
 from hookpair.errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
 
-from util import sweep_partitions
+from util import partitions, sweep_partitions
 
 # Large worked case used throughout: k=9, n=11.
 BIG = Partition((11, 11, 9, 8, 8, 6, 3, 1, 0), k=9, n=11)
@@ -58,6 +60,27 @@ class TestLabels:
         xs, zs = label_cells(BIG, 3)
         assert all(strip.arm(lab.cell) == 2 for lab in xs)
         assert all(strip.arm(lab.cell) == 0 for lab in zs)
+
+    @staticmethod
+    def assert_labels_read_off_strip(p, i):
+        strip = build_region(p, "T")
+        xs, zs = label_cells(p, i)
+        rows = range(1, p.k + 1)
+        assert [(lab.kind, lab.index, lab.cell) for lab in xs] == [
+            ("x", j, (j, strip.row_cols(j)[-i])) for j in rows
+        ]
+        assert [(lab.kind, lab.index, lab.cell) for lab in zs] == [
+            ("z", j, (p.k + 1 - j, strip.row_cols(p.k + 1 - j)[-1])) for j in rows
+        ]
+
+    def test_labels_match_strip_rows_sweep(self):
+        for p in sweep_partitions(4, 4):
+            for i in range(1, p.n + 1):
+                self.assert_labels_read_off_strip(p, i)
+
+    @given(partitions(max_k=8, max_n=8), st.data())
+    def test_labels_match_strip_rows_sample(self, p, data):
+        self.assert_labels_read_off_strip(p, data.draw(st.integers(1, p.n)))
 
     def test_cut_out_of_range(self):
         p = Partition((2, 1), k=2, n=2)

@@ -11,6 +11,7 @@ from hookpair.errors import (
     IndexOutOfRange,
     KindWithoutDiagonal,
     NoShiftRow,
+    NotAnInteger,
     NotWeaklyDecreasing,
     PartExceedsN,
     WrongN,
@@ -60,6 +61,13 @@ class TestStrictPartition:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             StrictPartition((2, 0), k=5)
+
+    @pytest.mark.parametrize(
+        "parts, k", [((1.5,), 3), ((3, 1.0), 3), ((True,), 3), ((2,), 3.0)]
+    )
+    def test_rejects_non_int(self, parts, k):
+        with pytest.raises(NotAnInteger):
+            StrictPartition(parts, k)
 
 
 class TestFrobeniusForm:

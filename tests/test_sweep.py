@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+import hookpair.sweep as sweep_mod
+from hookpair.errors import CaseMismatch
 from hookpair.projective import is_class_B
 from hookpair.sweep import (
     SweepConfig,
@@ -140,3 +142,30 @@ class TestRunSweep:
             c for c in data["cases"] if c["theorem"] == "projective"
         ]
         assert [c["lambda"] for c in projective_rows] == [[], [1]]
+
+
+class TestWorkerCount:
+    """The pool size is computed without starting a pool."""
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, cases, expected",
+        [
+            (1, 8, 100, 1),
+            (4, 8, 100, 4),
+            (10**6, 2, 100, 2),
+            (10**6, 64, 3, 3),
+            (8, None, 100, 1),
+            (4, 8, 0, 1),
+        ],
+    )
+    def test_capped_by_cpus_and_cases(self, monkeypatch, jobs, cpus, cases, expected):
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
+        assert sweep_mod._worker_count(jobs, cases) == expected
+
+
+class TestCaseVerdict:
+    def test_projective_alpha_must_match_lambda(self):
+        # lambda (2,) with k=2 gives alpha (3, 1)
+        assert sweep_mod._case_verdict(("projective", (3, 1), (2,), 2)) is True
+        with pytest.raises(CaseMismatch):
+            sweep_mod._case_verdict(("projective", (3, 0), (2,), 2))

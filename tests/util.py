@@ -4,7 +4,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from hookpair.diagrams import CellSet, Partition
+from hookpair.diagrams import CellSet, Partition, build_region
 
 
 ACCEPTANCE_LINES: list[str] = []
@@ -73,3 +73,42 @@ def leg_by_scan(g, cell):
 def coleg_by_scan(g, cell):
     r, c = cell
     return sum(1 for rr, cc in g.cells if cc == c and rr > r)
+
+
+def phi_reference_json(p):
+    """phi built the direct way, as JSON: for every cut, freshly built T and
+    T* rows give the labels and the targets, and each up step is matched by
+    scanning for the first later down step one level higher."""
+    k = p.k
+    entries = []
+    for i in range(1, p.n + 1):
+        strip = build_region(p, "T")
+        star = build_region(p, "Tstar")
+        labels = [((j, strip.row_cols(j)[-i]), "x", j) for j in range(1, k + 1)]
+        labels += [
+            ((k + 1 - j, strip.row_cols(k + 1 - j)[-1]), "z", j)
+            for j in range(1, k + 1)
+        ]
+        labels.sort(key=lambda lab: (lab[0][1], lab[1], lab[0][0]))
+        heights = []
+        y = 0
+        for _, kind, _ in labels:
+            heights.append(y)
+            y += 1 if kind == "x" else -1
+        for t, (cell, kind, j) in enumerate(labels):
+            if kind != "x":
+                continue
+            partner = next(
+                labels[u][2]
+                for u in range(t + 1, len(labels))
+                if labels[u][1] == "z" and heights[u] == heights[t] + 1
+            )
+            entries.append(
+                {
+                    "from": list(cell),
+                    "to": [partner, star.row_cols(partner)[-i]],
+                    "target": "Tstar",
+                    "al": [strip.arm(cell), strip.leg(cell)],
+                }
+            )
+    return sorted(entries, key=lambda e: e["from"])
