@@ -33,7 +33,7 @@ from .diagrams import (
     multiset_union,
 )
 from .dyck import build_dyck, build_sigma, pair_updown
-from .errors import CellNotInT, CounterexampleFound
+from .errors import CellNotInSet, CellNotInT, CounterexampleFound
 
 __all__ = [
     "MapEntry",
@@ -202,17 +202,25 @@ def zeta_map(p: Partition, kind: int) -> CellMap:
 
 
 def _psi(p: Partition, sq: CellSet) -> CellMap:
-    """psi_map with SQ already built; every other region is built once."""
-    star = build_region(p, "Tstar")
-    z1 = _zeta1(p, sq, build_region(p, "V"), build_region(p, "R1"))
-    z2 = _zeta2(p, star, build_region(p, "T1star"))
-    z3 = _zeta3(p, star, build_region(p, "T2star"))
-    entries = list(z1.entries)
+    """psi_map with SQ already built; every other region is built once.
+
+    A strip cell's phi image y = (r, c) in T* is followed by zeta_2 when it
+    lies in T*1 (c <= n - a_k) and by zeta_3 otherwise, both row arithmetic.
+    """
+    a, k, n = p.parts, p.k, p.n
+    ak = a[-1]
+    entries = list(_zeta1(p, sq, build_region(p, "V"), build_region(p, "R1")).entries)
     for e in _phi(p, build_region(p, "T")):
-        y = e.target
-        follow = z2[y] if y in z2 else z3[y]
+        r, c = e.target
+        # row r of T* spans a_{k+1-r}-a_k+1 .. n+a_{k+1-r}-a_k
+        if not 1 <= r <= k or not a[k - r] - ak < c <= n + a[k - r] - ak:
+            raise CellNotInSet(f"phi image {e.target} of {e.source} is not in T*")
+        if c <= n - ak:
+            target, tag = (r, c - (a[k - r] - ak)), "R"
+        else:
+            target, tag = (r, c - (n - ak)), "D"
         al = (sq.arm(e.source), sq.leg(e.source))
-        entries.append(MapEntry(e.source, follow.target, follow.target_tag, al))
+        entries.append(MapEntry(e.source, target, tag, al))
     return CellMap("SQ", entries)
 
 

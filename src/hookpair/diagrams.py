@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     CellNotInSet,
@@ -20,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     NotASubset,
     NotAnInteger,
+    NotRising,
     NotWeaklyDecreasing,
     PartExceedsN,
     WrongLength,
@@ -255,6 +256,38 @@ class CellSet:
         )
 
 
+def _region_rows(p: Partition, kind: str) -> list[tuple[int, int]]:
+    """Column interval (lo, hi) of each row of a named region, bottom row first.
+
+    Entry r-1 is row r; an empty row has lo > hi.  ``build_region`` lists the
+    kinds and their rows.
+    """
+    if kind not in REGION_KINDS:
+        raise ValueError(f"unknown region kind {kind!r}")
+    a = p.parts
+    k, n = p.k, p.n
+    a1, ak = a[0], a[-1]
+    if kind == "D":
+        return [(1, a[k - i]) for i in range(1, k + 1)]
+    if kind == "R":
+        return [(1, n)] * k
+    if kind in ("T", "SQ", "V"):
+        strip = [(a1 - a[i - 1] + 1, n + a1 - a[i - 1]) for i in range(1, k + 1)]
+        if kind == "T":
+            return strip
+        below = strip if kind == "SQ" else [(1, 0)] * k
+        return below + [(n + a1 - a[m - 1] + 1, n + a1) for m in range(1, k + 1)]
+    if kind == "Tstar":
+        return [(a[k - i] - ak + 1, n + a[k - i] - ak) for i in range(1, k + 1)]
+    if kind == "R1":
+        return [(n - a[k - i] + 1, n) for i in range(1, k + 1)]
+    if kind == "R2":
+        return [(1, n - a[k - i]) for i in range(1, k + 1)]
+    if kind == "T1star":
+        return [(a[k - i] - ak + 1, n - ak) for i in range(1, k + 1)]
+    return [(n - ak + 1, n + a[k - i] - ak) for i in range(1, k + 1)]  # T2star
+
+
 def build_region(p: Partition, kind: str) -> CellSet:
     """Construct one of the named regions determined by the partition.
 
@@ -271,35 +304,37 @@ def build_region(p: Partition, kind: str) -> CellSet:
     - ``T1star`` columns of Tstar up to n-parts[k], per row
     - ``T2star`` columns of Tstar beyond n-parts[k], per row
     """
-    if kind not in REGION_KINDS:
-        raise ValueError(f"unknown region kind {kind!r}")
-    a = p.parts
-    k, n = p.k, p.n
-    a1, ak = a[0], a[-1]
-    rows: dict[int, tuple[int, int]] = {}
-    if kind == "D":
-        rows = {i: (1, a[k - i]) for i in range(1, k + 1)}
-    elif kind == "R":
-        rows = {i: (1, n) for i in range(1, k + 1)}
-    elif kind == "T":
-        rows = {i: (a1 - a[i - 1] + 1, n + a1 - a[i - 1]) for i in range(1, k + 1)}
-    elif kind == "V":
-        rows = {k + m: (n + a1 - a[m - 1] + 1, n + a1) for m in range(1, k + 1)}
-    elif kind == "SQ":
-        t = build_region(p, "T")
-        v = build_region(p, "V")
-        return CellSet(t.cells | v.cells)
-    elif kind == "Tstar":
-        rows = {i: (a[k - i] - ak + 1, n + a[k - i] - ak) for i in range(1, k + 1)}
-    elif kind == "R1":
-        rows = {i: (n - a[k - i] + 1, n) for i in range(1, k + 1)}
-    elif kind == "R2":
-        rows = {i: (1, n - a[k - i]) for i in range(1, k + 1)}
-    elif kind == "T1star":
-        rows = {i: (a[k - i] - ak + 1, n - ak) for i in range(1, k + 1)}
-    elif kind == "T2star":
-        rows = {i: (n - ak + 1, n + a[k - i] - ak) for i in range(1, k + 1)}
-    return CellSet.from_row_intervals(rows)
+    return CellSet.from_row_intervals(dict(enumerate(_region_rows(p, kind), 1)))
+
+
+def _rising_leg(rows: list[tuple[int, int]]) -> Callable[[int, int], int]:
+    """leg(r, c) of the cells of a rising shape given by its rows' (lo, hi).
+
+    Rising means lo and hi never decrease over the non-empty rows.  Then every
+    non-empty row below a cell starts at or left of it, so its leg is the
+    number of those rows whose hi reaches its column: one bisect on the sorted
+    his.  Its arm is hi - c.  Raises NotRising on any other shape, where that
+    count would be wrong.
+    """
+    his: list[int] = []
+    below: list[int] = []
+    prev_lo = prev_hi = None
+    for r, (lo, hi) in enumerate(rows, 1):
+        below.append(len(his))
+        if lo > hi:
+            continue
+        if prev_lo is not None and (lo < prev_lo or hi < prev_hi):
+            raise NotRising(
+                f"row {r} spans {lo}..{hi}, below it a row spans {prev_lo}..{prev_hi}"
+            )
+        his.append(hi)
+        prev_lo, prev_hi = lo, hi
+
+    def leg(r: int, c: int) -> int:
+        j = below[r - 1]
+        return j - bisect_left(his, c, 0, j)
+
+    return leg
 
 
 def al_multiset(g: CellSet, e: CellSet | Iterable[Cell]) -> Counter:

@@ -37,6 +37,10 @@ class NotASubset(HookpairError, ValueError):
     """Multiset restriction asked for cells outside the diagram."""
 
 
+class NotRising(HookpairError, ValueError):
+    """A shape's row intervals fall somewhere, so its legs are not one bisect."""
+
+
 class IndexOutOfRange(HookpairError, ValueError):
     """Arm index or step index outside its allowed range."""
 

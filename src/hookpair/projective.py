@@ -25,12 +25,10 @@ from .diagrams import (
     Cell,
     CellSet,
     Partition,
-    al_multiset,
-    arm_slice,
+    _region_rows,
+    _rising_leg,
     build_region,
     first_multiset_difference,
-    multiset_eq,
-    multiset_union,
 )
 from .errors import (
     CounterexampleFound,
@@ -170,8 +168,6 @@ def _diagonal_total(b: ClassBPartition, kind: str) -> int:
         "R": k + 1,
         "T": k + a1 + 1,
         "SQ": k + a1 + 1,
-        "T_(i)": k + a1 + 1,
-        "T_[i]": k + a1 + 1,
         "Tstar": 2 * k + 2 - ak,
     }
     if kind not in sums:
@@ -203,6 +199,21 @@ def _shift_row(b: ClassBPartition, i: int) -> int | None:
     return None
 
 
+def _cut_shift_row(b: ClassBPartition, i: int) -> int | None:
+    """The shift row of cut i, after checking that the cut exists."""
+    if not 1 <= i <= b.n:
+        raise IndexOutOfRange(f"cut parameter i={i} not in 1..{b.n}")
+    return _shift_row(b, i)
+
+
+def _shifted_rows(
+    strip: list[tuple[int, int]], u: int, a1: int
+) -> list[tuple[int, int]]:
+    """Rows of T_(i): the strip rows below u, then a1+1 .. a1+k+1 from u up."""
+    k = len(strip)
+    return strip[: u - 1] + [(a1 + 1, a1 + k + 1)] * (k - u + 1)
+
+
 def shift_Ti(b: ClassBPartition, i: int) -> tuple[CellSet, int | None]:
     """Right-justify the strip rows from the shift row up.
 
@@ -210,21 +221,11 @@ def shift_Ti(b: ClassBPartition, i: int) -> tuple[CellSet, int | None]:
     keep their position.  When no arm-(i-1) cell lies above the diagonal the
     strip is returned unchanged with u = None.
     """
-    p = b.alpha
-    if not 1 <= i <= p.n:
-        raise IndexOutOfRange(f"cut parameter i={i} not in 1..{p.n}")
-    strip = build_region(p, "T")
-    u = _shift_row(b, i)
-    if u is None:
-        return strip, None
-    a1 = p.part(1)
-    intervals = {}
-    for j in range(1, p.k + 1):
-        if j < u:
-            intervals[j] = (a1 - p.part(j) + 1, p.n + a1 - p.part(j))
-        else:
-            intervals[j] = (a1 + 1, a1 + p.k + 1)
-    return CellSet.from_row_intervals(intervals), u
+    u = _cut_shift_row(b, i)
+    rows = _region_rows(b.alpha, "T")
+    if u is not None:
+        rows = _shifted_rows(rows, u, b.alpha.part(1))
+    return CellSet.from_row_intervals(dict(enumerate(rows, 1))), u
 
 
 def check_prop_techprop(b: ClassBPartition, i: int) -> dict:
@@ -278,46 +279,76 @@ def _range_multiset(lo: int, hi: int) -> Counter:
     return Counter(range(lo, hi + 1))
 
 
-def _compute_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
+def _rotated_rows(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Rows of the half-turn rotation inside the bounding box of a shape
+    whose rows are all non-empty, as ``CellSet.rotate180`` places it."""
+    cmax = max(hi for _, hi in rows)
+    return [(cmax + 1 - hi, cmax + 1 - lo) for lo, hi in reversed(rows)]
+
+
+def _arm_slice(rows: list[tuple[int, int]], i: int) -> list[Cell]:
+    """The arm-(i-1) cell (r, hi - i + 1) of every row, as ``arm_slice``
+    picks it; every row must be non-empty and hold at least i cells."""
+    cells = []
+    for r, (lo, hi) in enumerate(rows, 1):
+        if hi - lo + 1 < i:
+            raise IndexOutOfRange(f"row {r} has only {hi - lo + 1} cells, need {i}")
+        cells.append((r, hi - i + 1))
+    return cells
+
+
+def _compute_decomposition(
+    b: ClassBPartition,
+    i: int,
+    u: int,
+    strip: list[tuple[int, int]],
+    strip_leg,
+    dgm: list[tuple[int, int]],
+    dgm_leg,
+) -> MDecomposition:
+    """The decomposition at cut i with shift row u, given the rows of T and
+    D and their ``_rising_leg`` tables."""
     alpha = b.alpha
     k = alpha.k
-    ti, u = shift_Ti(b, i)
-    if u is None:
-        raise NoShiftRow(f"no shift row exists for i={i} on alpha={alpha}")
+    a1 = alpha.part(1)
     s = next(
         j for j in range(1, k + 2)
         if (alpha.part(j) if j <= k else 0) <= i - 1
     )
     s_eff = min(s, u)
-    diag_t = k + alpha.part(1) + 1
+    diag_t = k + a1 + 1
 
-    slice_ti = arm_slice(ti, i)
-    m1 = Counter(ti.leg(c) for c in slice_ti)
-    m11 = Counter(ti.leg(c) for c in slice_ti if c[0] + c[1] <= diag_t)
-    m12 = Counter(ti.leg(c) for c in slice_ti if c[0] + c[1] > diag_t)
+    ti = _shifted_rows(strip, u, a1)
+    ti_leg = _rising_leg(ti)
+    m1, m11, m12 = Counter(), Counter(), Counter()
+    for r, c in _arm_slice(ti, i):
+        leg = ti_leg(r, c)
+        m1[leg] += 1
+        if r + c <= diag_t:
+            m11[leg] += 1
+        else:
+            m12[leg] += 1
 
-    star = ti.rotate180()
-    slice_star = arm_slice(star, i)
-    m2 = Counter(star.leg(c) for c in slice_star)
-    m21 = Counter(star.leg(c) for c in slice_star if c[1] <= k + 1)
-    m22 = Counter(
-        star.leg(c)
-        for c in slice_star
-        if c[1] > k + 1 and c[0] + c[1] <= 2 * k + 2
-    )
-    m23 = Counter(star.leg(c) for c in slice_star if c[0] + c[1] > 2 * k + 2)
+    star = _rotated_rows(ti)
+    star_leg = _rising_leg(star)
+    m2, m21, m22, m23 = Counter(), Counter(), Counter(), Counter()
+    for r, c in _arm_slice(star, i):
+        leg = star_leg(r, c)
+        m2[leg] += 1
+        if c <= k + 1:
+            m21[leg] += 1
+        if c > k + 1 and r + c <= 2 * k + 2:
+            m22[leg] += 1
+        if r + c > 2 * k + 2:
+            m23[leg] += 1
 
-    strip = build_region(alpha, "T")
-    m3 = Counter(
-        strip.leg(c) for c in arm_slice(strip, i) if c[0] + c[1] <= diag_t
-    )
+    m3 = Counter(strip_leg(r, c) for r, c in _arm_slice(strip, i) if r + c <= diag_t)
     # rows of D shorter than i have no arm-(i-1) cell at all
-    dgm = build_region(alpha, "D")
-    m4 = Counter()
-    for r in dgm.occupied_rows():
-        cols = dgm.row_cols(r)
-        if len(cols) >= i and r + cols[-i] > k + 1:
-            m4[dgm.leg((r, cols[-i]))] += 1
+    m4 = Counter(
+        dgm_leg(r, hi - i + 1)
+        for r, (lo, hi) in enumerate(dgm, 1)
+        if hi - lo + 1 >= i and r + hi - i + 1 > k + 1
+    )
 
     checks = {
         "m1_vs_m2": m1 == m2,
@@ -336,9 +367,19 @@ def _compute_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
     )
 
 
+def _strip_and_diagram(alpha: Partition) -> tuple:
+    """Rows of T and D and their leg tables, in ``_compute_decomposition``'s order."""
+    strip = _region_rows(alpha, "T")
+    dgm = _region_rows(alpha, "D")
+    return strip, _rising_leg(strip), dgm, _rising_leg(dgm)
+
+
 def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
     """Compute the decomposition and insist every equality holds."""
-    dec = _compute_decomposition(b, i)
+    u = _cut_shift_row(b, i)
+    if u is None:
+        raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
+    dec = _compute_decomposition(b, i, u, *_strip_and_diagram(b.alpha))
     if not dec.passed:
         bad = sorted(name for name, ok in dec.checks.items() if not ok)
         raise CounterexampleFound(
@@ -349,28 +390,48 @@ def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
     return dec
 
 
-def projective_report(b: ClassBPartition) -> dict:
-    """Check the diagonal identity and all per-i decompositions.
+def _on_or_below(rows: list[tuple[int, int]], total: int) -> list[tuple[int, int]]:
+    """Each row clamped to its cells with r + c <= total."""
+    return [(lo, min(hi, total - r)) for r, (lo, hi) in enumerate(rows, 1)]
 
-    The identity compares (arm, leg) pairs measured in the parent regions:
-    cells of SQ on or below its diagonal against all of p(R) plus the cells
-    of D above its diagonal.  Also confirms that the diagonal part of SQ
-    coincides with the diagonal part of T cell for cell.
-    """
+
+def _above(rows: list[tuple[int, int]], total: int) -> list[tuple[int, int]]:
+    """Each row clamped to its cells with r + c > total."""
+    return [(max(lo, total - r + 1), hi) for r, (lo, hi) in enumerate(rows, 1)]
+
+
+def _occupied(rows: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """(r, lo, hi) of the non-empty rows: equal lists mean equal cell sets."""
+    return [(r, lo, hi) for r, (lo, hi) in enumerate(rows, 1) if lo <= hi]
+
+
+def _al_multiset(
+    rows: list[tuple[int, int]], leg, part: list[tuple[int, int]]
+) -> Counter:
+    """(arm, leg) multiset of the cells of ``part``, row r of which lies
+    inside row r of the rising shape ``rows`` with leg table ``leg``."""
+    out = Counter()
+    for r, ((_, hi), (lo_p, hi_p)) in enumerate(zip(rows, part), 1):
+        for c in range(lo_p, hi_p + 1):
+            out[hi - c, leg(r, c)] += 1
+    return out
+
+
+def _projective_pass(b: ClassBPartition) -> tuple[dict, Counter, Counter]:
+    """The report of ``projective_report`` with the two sides of the identity."""
     alpha = b.alpha
-    sq = build_region(alpha, "SQ")
-    strip = build_region(alpha, "T")
-    rect = build_region(alpha, "R")
-    dgm = build_region(alpha, "D")
-    p_sq, _ = split_pq(sq, "SQ", b)
-    p_t, _ = split_pq(strip, "T", b)
-    p_r, _ = split_pq(rect, "R", b)
-    _, q_d = split_pq(dgm, "D", b)
+    sq = _region_rows(alpha, "SQ")
+    rect = _region_rows(alpha, "R")
+    strip, strip_leg, dgm, dgm_leg = _strip_and_diagram(alpha)
+    p_sq = _on_or_below(sq, _diagonal_total(b, "SQ"))
+    p_t = _on_or_below(strip, _diagonal_total(b, "T"))
+    p_r = _on_or_below(rect, _diagonal_total(b, "R"))
+    q_d = _above(dgm, _diagonal_total(b, "D"))
 
-    same_cells = p_sq == p_t
-    lhs = al_multiset(sq, p_sq)
-    rhs = multiset_union(al_multiset(rect, p_r), al_multiset(dgm, q_d))
-    identity = multiset_eq(lhs, rhs)
+    same_cells = _occupied(p_sq) == _occupied(p_t)
+    lhs = _al_multiset(sq, _rising_leg(sq), p_sq)
+    rhs = _al_multiset(rect, _rising_leg(rect), p_r) + _al_multiset(dgm, dgm_leg, q_d)
+    identity = lhs == rhs
 
     per_i = []
     all_sub = True
@@ -383,7 +444,7 @@ def projective_report(b: ClassBPartition) -> dict:
             )
             continue
         tech = check_prop_techprop(b, i)
-        dec = _compute_decomposition(b, i)
+        dec = _compute_decomposition(b, i, u, strip, strip_leg, dgm, dgm_leg)
         ok = tech["all"] and dec.passed
         all_sub = all_sub and ok
         per_i.append(
@@ -397,31 +458,35 @@ def projective_report(b: ClassBPartition) -> dict:
         )
 
     verdict = identity and same_cells and all_sub
-    return {
+    report = {
         "alpha": list(alpha.parts),
         "lambda": list(b.lam.parts),
         "m": b.m,
         "theorem": "pass" if verdict else "fail",
         "perI": per_i,
     }
+    return report, lhs, rhs
+
+
+def projective_report(b: ClassBPartition) -> dict:
+    """Check the diagonal identity and all per-i decompositions.
+
+    The identity compares (arm, leg) pairs measured in the parent regions:
+    cells of SQ on or below its diagonal against all of p(R) plus the cells
+    of D above its diagonal.  Also confirms that the diagonal part of SQ
+    coincides with the diagonal part of T cell for cell.  Every region is
+    handled as its rows' column intervals; no cell set is built.
+    """
+    return _projective_pass(b)[0]
 
 
 def verify_projective(b: ClassBPartition) -> dict:
     """Like projective_report but raises CounterexampleFound on failure."""
-    report = projective_report(b)
+    report, lhs, rhs = _projective_pass(b)
     if report["theorem"] != "pass":
-        alpha = b.alpha
-        sq = build_region(alpha, "SQ")
-        rect = build_region(alpha, "R")
-        dgm = build_region(alpha, "D")
-        p_sq, _ = split_pq(sq, "SQ", b)
-        p_r, _ = split_pq(rect, "R", b)
-        _, q_d = split_pq(dgm, "D", b)
-        lhs = al_multiset(sq, p_sq)
-        rhs = multiset_union(al_multiset(rect, p_r), al_multiset(dgm, q_d))
         raise CounterexampleFound(
-            f"diagonal identity fails for alpha={alpha}",
-            case={"alpha": list(alpha.parts), "k": b.k},
+            f"diagonal identity fails for alpha={b.alpha}",
+            case={"alpha": list(b.alpha.parts), "k": b.k},
             detail=first_multiset_difference(lhs, rhs),
         )
     return report

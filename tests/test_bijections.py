@@ -1,6 +1,5 @@
 """Tests for the region maps, their certificates, and the identity checks."""
 
-import sys
 from collections import Counter
 
 import pytest
@@ -18,9 +17,9 @@ from hookpair.bijections import (
     zeta_map,
 )
 from hookpair.diagrams import Partition, al_multiset, arm_slice, build_region
-from hookpair.errors import CellNotInT, CounterexampleFound
+from hookpair.errors import CellNotInSet, CellNotInT, CounterexampleFound
 
-from util import partitions, phi_reference_json, sweep_partitions
+from util import count_region_builds, partitions, phi_reference_json, sweep_partitions
 
 BIG = Partition((11, 11, 9, 8, 8, 6, 3, 1, 0), k=9, n=11)
 FIG = Partition((6, 5, 3, 1), k=4, n=6)
@@ -119,42 +118,20 @@ class TestPhiReference:
 class TestRegionBuilds:
     """phi, psi and the reports build a fixed set of regions, however many cuts."""
 
-    @staticmethod
-    def count_builds(monkeypatch, run):
-        import hookpair.diagrams as dg
-
-        original = dg.build_region
-        calls = []
-
-        def counting(p, kind):
-            calls.append(kind)
-            return original(p, kind)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("hookpair") and vars(mod).get("build_region") is original:
-                monkeypatch.setattr(mod, "build_region", counting)
-        run()
-        monkeypatch.undo()
-        return sorted(calls)
-
     NARROW = Partition((3, 2, 2, 0), k=4, n=3)
     WIDE = Partition((12, 7, 7, 0), k=4, n=12)
 
     def test_phi_builds_do_not_grow_with_n(self, monkeypatch):
-        narrow = self.count_builds(monkeypatch, lambda: phi_map(self.NARROW))
-        wide = self.count_builds(monkeypatch, lambda: phi_map(self.WIDE))
+        narrow = count_region_builds(monkeypatch, lambda: phi_map(self.NARROW))
+        wide = count_region_builds(monkeypatch, lambda: phi_map(self.WIDE))
         assert narrow == wide == ["T"]
 
     def test_reports_build_each_region_once(self, monkeypatch):
-        # SQ is built from T and V inside build_region, hence those repeats
-        expected = {
-            1: ["D", "R", "R1", "SQ", "T", "T", "T1star", "T2star", "Tstar", "V", "V"],
-            3: ["T", "Tstar"],
-        }
+        expected = {1: ["D", "R", "R1", "SQ", "T", "V"], 3: ["T", "Tstar"]}
         expected[2] = expected[1]
         for which in (1, 2, 3):
             for p in (self.NARROW, self.WIDE):
-                built = self.count_builds(monkeypatch, lambda: theorem_report(p, which))
+                built = count_region_builds(monkeypatch, lambda: theorem_report(p, which))
                 assert built == expected[which], (p, which)
 
 
@@ -227,6 +204,35 @@ class TestPsi:
             }
             cert = build_certificate(psi_map(p), sq, sq, targets)
             assert cert.verdict, (p, cert.failures[:2])
+
+    def test_strip_cells_follow_phi_then_zeta(self):
+        # psi on a strip cell is zeta_2 or zeta_3 looked up at its phi image
+        for p in list(sweep_partitions(4, 4)) + [FIG, BIG]:
+            z2, z3 = zeta_map(p, 2), zeta_map(p, 3)
+            psi = psi_map(p)
+            for e in phi_map(p):
+                follow = z2[e.target] if e.target in z2 else z3[e.target]
+                got = psi[e.source]
+                assert (got.target, got.target_tag) == (
+                    follow.target, follow.target_tag
+                ), (p, e.source)
+
+    @pytest.mark.parametrize("dr, dc", [(0, 6), (0, -6), (4, 0), (-4, 0)])
+    def test_phi_image_outside_tstar_rejected(self, monkeypatch, dr, dc):
+        import hookpair.bijections as bj
+
+        good = bj._phi
+
+        def moved(p, strip):
+            return CellMap(
+                "T",
+                [MapEntry(e.source, (e.target[0] + dr, e.target[1] + dc),
+                          e.target_tag, e.al) for e in good(p, strip)],
+            )
+
+        monkeypatch.setattr(bj, "_phi", moved)
+        with pytest.raises(CellNotInSet):
+            psi_map(FIG)
 
     def test_json_shape(self):
         data = psi_map(Partition((1,), k=1, n=1)).to_json()

@@ -7,6 +7,8 @@ from hookpair.diagrams import (
     REGION_KINDS,
     CellSet,
     Partition,
+    _region_rows,
+    _rising_leg,
     al_multiset,
     arm_prefix,
     arm_slice,
@@ -26,6 +28,7 @@ from hookpair.errors import (
     IndexOutOfRange,
     NotASubset,
     NotAnInteger,
+    NotRising,
     NotWeaklyDecreasing,
     PartExceedsN,
     WrongLength,
@@ -237,6 +240,35 @@ class TestRegions:
         r2 = build_region(p, "R2")
         assert r2.row_cols(2) == [] and r2.row_cols(3) == []
         assert r2.row_cols(1) == [1, 2]
+
+
+class TestRisingLeg:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(2, 4), (1, 5)],
+            [(1, 5), (2, 4)],
+            [(1, 3), (3, 5), (2, 6)],
+            [(3, 5), (1, 0), (2, 6)],
+            [(3, 5), (4, 3), (3, 4)],
+        ],
+    )
+    def test_falling_rows_rejected(self, rows):
+        with pytest.raises(NotRising):
+            _rising_leg(rows)
+
+    def test_mirrored_rectangle_halves_rejected(self):
+        p = Partition((6, 5, 3, 1), 4, 6)
+        for kind in ("R1", "R2"):
+            with pytest.raises(NotRising):
+                _rising_leg(_region_rows(p, kind))
+
+    def test_empty_rows_are_skipped(self):
+        rows = [(1, 0), (1, 2), (9, 3), (2, 4), (5, 4), (2, 6)]
+        g = CellSet.from_row_intervals(dict(enumerate(rows, 1)))
+        leg = _rising_leg(rows)
+        for r, c in g:
+            assert leg(r, c) == leg_by_scan(g, (r, c)), (r, c)
 
 
 class TestShapeIdentities:

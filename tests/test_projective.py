@@ -5,7 +5,14 @@ from collections import Counter
 
 import pytest
 
-from hookpair.diagrams import Partition, arm_slice, build_region
+from hookpair.diagrams import (
+    CellSet,
+    Partition,
+    _region_rows,
+    _rising_leg,
+    arm_slice,
+    build_region,
+)
 from hookpair.errors import (
     CounterexampleFound,
     IndexOutOfRange,
@@ -30,7 +37,7 @@ from hookpair.projective import (
     verify_projective,
 )
 
-from util import strict_partitions
+from util import arm_by_scan, count_region_builds, leg_by_scan, strict_partitions
 
 SMALL = alpha_from_strict(StrictPartition((4, 2), k=5))
 GOLD = alpha_from_strict(StrictPartition((11, 9, 8, 5, 3, 2), k=12))
@@ -245,6 +252,60 @@ class TestTechprop:
             check_prop_techprop(b, 1)
 
 
+class TestRowIntervals:
+    """The row-interval shapes behind the projective checks, against scans
+    of the cells."""
+
+    @staticmethod
+    def assert_scan_statistics(rows, note):
+        g = CellSet.from_row_intervals(dict(enumerate(rows, 1)))
+        leg = _rising_leg(rows)
+        for r, c in g:
+            got = (rows[r - 1][1] - c, leg(r, c))
+            assert got == (arm_by_scan(g, (r, c)), leg_by_scan(g, (r, c))), (note, r, c)
+        return g
+
+    def test_arm_and_leg_match_scans(self):
+        import hookpair.projective as pj
+
+        for b in family_members(6):
+            p = b.alpha
+            for kind in ("T", "SQ", "R", "D"):
+                self.assert_scan_statistics(_region_rows(p, kind), (p, kind))
+            for i in range(1, b.k + 2):
+                ti, u = shift_Ti(b, i)
+                if u is None:
+                    continue
+                rows = pj._shifted_rows(_region_rows(p, "T"), u, p.part(1))
+                note = (p, i)
+                assert self.assert_scan_statistics(rows, note) == ti, note
+                star = pj._rotated_rows(rows)
+                assert self.assert_scan_statistics(star, note) == ti.rotate180(), note
+
+    @pytest.mark.parametrize(
+        "b",
+        [alpha_from_strict(StrictPartition((3, 1), k=3)),
+         alpha_from_strict(StrictPartition((9, 7, 4, 2), k=9))],
+    )
+    def test_report_builds_no_region(self, monkeypatch, b):
+        made = []
+        original = CellSet.__init__
+
+        def counting(self, cells=()):
+            made.append(1)
+            original(self, cells)
+
+        monkeypatch.setattr(CellSet, "__init__", counting)
+        built = count_region_builds(monkeypatch, lambda: projective_report(b))
+        assert built == [] and made == []
+
+    def test_short_row_has_no_arm_slice(self):
+        import hookpair.projective as pj
+
+        with pytest.raises(IndexOutOfRange):
+            pj._arm_slice([(1, 3), (2, 3)], 3)
+
+
 class TestMDecomposition:
     def test_gold_indices(self):
         dec = m_decomposition(GOLD, 5)
@@ -300,10 +361,10 @@ class TestMDecomposition:
     def test_broken_shift_detected(self, monkeypatch):
         import hookpair.projective as pj
 
-        def unshifted(b, i):
-            return build_region(b.alpha, "T"), pj._shift_row(b, i)
+        def unshifted(strip, u, a1):
+            return list(strip)
 
-        monkeypatch.setattr(pj, "shift_Ti", unshifted)
+        monkeypatch.setattr(pj, "_shifted_rows", unshifted)
         with pytest.raises(CounterexampleFound) as exc:
             m_decomposition(SMALL, 1)
         assert exc.value.detail["failed"]
@@ -345,3 +406,22 @@ class TestProjectiveIdentity:
     def test_identity_sweep(self):
         for b in family_members(5):
             assert projective_report(b)["theorem"] == "pass", b.alpha
+
+    def test_failure_names_first_difference_from_one_pass(self, monkeypatch):
+        import hookpair.projective as pj
+
+        original = pj._al_multiset
+        shapes = []
+
+        def corrupted(rows, leg, part):
+            out = original(rows, leg, part)
+            shapes.append(len(rows))
+            if len(rows) == 2 * SMALL.k:  # SQ, the only region with 2k rows
+                out[(-1, -1)] += 1
+            return out
+
+        monkeypatch.setattr(pj, "_al_multiset", corrupted)
+        with pytest.raises(CounterexampleFound) as exc:
+            verify_projective(SMALL)
+        assert exc.value.detail == {"key": (-1, -1), "left": 1, "right": 0}
+        assert sorted(shapes) == [SMALL.k, SMALL.k, 2 * SMALL.k]

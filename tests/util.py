@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: exhaustive enumerations and strategies."""
 
+import sys
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -58,6 +59,26 @@ def partitions(draw, max_k=5, max_n=5):
 cell_sets = st.sets(
     st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=20
 ).map(CellSet)
+
+
+def count_region_builds(monkeypatch, run):
+    """Sorted kinds of the build_region calls made while run() runs, from any
+    hookpair module that imported it."""
+    import hookpair.diagrams as dg
+
+    original = dg.build_region
+    calls = []
+
+    def counting(p, kind):
+        calls.append(kind)
+        return original(p, kind)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hookpair") and vars(mod).get("build_region") is original:
+            monkeypatch.setattr(mod, "build_region", counting)
+    run()
+    monkeypatch.undo()
+    return sorted(calls)
 
 
 def arm_by_scan(g, cell):
