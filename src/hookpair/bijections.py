@@ -16,6 +16,7 @@ CounterexampleFound on any discrepancy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -23,14 +24,14 @@ from .diagrams import (
     Cell,
     CellSet,
     Partition,
-    al_multiset,
+    StatTable,
+    _region_rows,
+    _region_stats,
+    _verify_command,
     build_region,
     first_multiset_difference,
-    hook_multiset,
     hook_multiset_to_json,
-    multiset_eq,
     multiset_to_json,
-    multiset_union,
 )
 from .dyck import build_dyck, build_sigma, pair_updown
 from .errors import CellNotInSet, CellNotInT, CounterexampleFound
@@ -108,8 +109,12 @@ def rot_T(p: Partition, x: Cell) -> Cell:
     return (p.k + 1 - r, p.n + p.part(1) - p.part(p.k) + 1 - c)
 
 
-def _phi(p: Partition, strip: CellSet) -> CellMap:
-    """phi_map with the strip T already built."""
+def _phi(p: Partition, stats: StatTable) -> CellMap:
+    """phi_map with each entry's (arm, leg) read from a stat table holding T.
+
+    SQ's table serves too: SQ is T with V stacked above it, so a strip cell
+    has the same arm and leg in both.
+    """
     a, k, n = p.parts, p.k, p.n
     entries = []
     for i in range(1, n + 1):
@@ -121,8 +126,7 @@ def _phi(p: Partition, strip: CellSet) -> CellMap:
             row = pairing[lab.index]
             # row r of T* spans columns a_{k+1-r}-a_k+1 .. n+a_{k+1-r}-a_k
             target = (row, n + a[k - row] - a[-1] - i + 1)
-            al = (strip.arm(lab.cell), strip.leg(lab.cell))
-            entries.append(MapEntry(lab.cell, target, "Tstar", al))
+            entries.append(MapEntry(lab.cell, target, "Tstar", stats[lab.cell]))
     return CellMap("T", entries)
 
 
@@ -135,22 +139,27 @@ def phi_map(p: Partition) -> CellMap:
     bounding box of the arm-prefix at cut i, of the rightmost cell of T in
     row k+1-P_i(j).
     """
-    return _phi(p, build_region(p, "T"))
+    return _phi(p, _region_stats(p, "T"))
 
 
-def _zeta1(p: Partition, sq: CellSet, v: CellSet, r1: CellSet) -> CellMap:
+def _column_rows(rows: list[tuple[int, int]], c: int) -> list[int]:
+    """Rows, ascending, whose (lo, hi) interval holds column c."""
+    return [r for r, (lo, hi) in enumerate(rows, 1) if lo <= c <= hi]
+
+
+def _zeta1(p: Partition, sq: StatTable) -> CellMap:
+    """zeta_map kind 1 with (arm, leg) read from SQ's stat table."""
     width = p.part(1)
+    v_rows, r1_rows = _region_rows(p, "V"), _region_rows(p, "R1")
     entries = []
     for j in range(1, width + 1):
         src_col = p.n + j
         dst_col = p.n - width + j
-        src_rows = v.col_rows(src_col)
-        dst_rows = r1.col_rows(dst_col)
+        src_rows = _column_rows(v_rows, src_col)
+        dst_rows = _column_rows(r1_rows, dst_col)
         for sr, dr in zip(reversed(src_rows), reversed(dst_rows), strict=True):
             src = (sr, src_col)
-            entries.append(
-                MapEntry(src, (dr, dst_col), "R", (sq.arm(src), sq.leg(src)))
-            )
+            entries.append(MapEntry(src, (dr, dst_col), "R", sq[src]))
     return CellMap("V", entries)
 
 
@@ -191,9 +200,7 @@ def zeta_map(p: Partition, kind: int) -> CellMap:
     ambient regions (SQ for kind 1, T* for kinds 2 and 3).
     """
     if kind == 1:
-        return _zeta1(
-            p, build_region(p, "SQ"), build_region(p, "V"), build_region(p, "R1")
-        )
+        return _zeta1(p, _region_stats(p, "SQ"))
     if kind == 2:
         return _zeta2(p, build_region(p, "Tstar"), build_region(p, "T1star"))
     if kind == 3:
@@ -201,16 +208,16 @@ def zeta_map(p: Partition, kind: int) -> CellMap:
     raise ValueError(f"zeta kind must be 1, 2 or 3, got {kind!r}")
 
 
-def _psi(p: Partition, sq: CellSet) -> CellMap:
-    """psi_map with SQ already built; every other region is built once.
+def _psi(p: Partition, sq: StatTable) -> CellMap:
+    """psi_map with every (arm, leg) read from SQ's stat table.
 
     A strip cell's phi image y = (r, c) in T* is followed by zeta_2 when it
     lies in T*1 (c <= n - a_k) and by zeta_3 otherwise, both row arithmetic.
     """
     a, k, n = p.parts, p.k, p.n
     ak = a[-1]
-    entries = list(_zeta1(p, sq, build_region(p, "V"), build_region(p, "R1")).entries)
-    for e in _phi(p, build_region(p, "T")):
+    entries = list(_zeta1(p, sq).entries)
+    for e in _phi(p, sq):
         r, c = e.target
         # row r of T* spans a_{k+1-r}-a_k+1 .. n+a_{k+1-r}-a_k
         if not 1 <= r <= k or not a[k - r] - ak < c <= n + a[k - r] - ak:
@@ -219,8 +226,7 @@ def _psi(p: Partition, sq: CellSet) -> CellMap:
             target, tag = (r, c - (a[k - r] - ak)), "R"
         else:
             target, tag = (r, c - (n - ak)), "D"
-        al = (sq.arm(e.source), sq.leg(e.source))
-        entries.append(MapEntry(e.source, target, tag, al))
+        entries.append(MapEntry(e.source, target, tag, e.al))
     return CellMap("SQ", entries)
 
 
@@ -231,7 +237,7 @@ def psi_map(p: Partition) -> CellMap:
     cells go through phi into T*; images landing in the left half T*1 are
     shifted into R2, the rest are translated onto D.
     """
-    return _psi(p, build_region(p, "SQ"))
+    return _psi(p, _region_stats(p, "SQ"))
 
 
 @dataclass(frozen=True)
@@ -268,19 +274,27 @@ class BijectionCertificate:
         }
 
 
-def _stat_fn(stat: str):
-    if stat == "al":
-        return lambda g, c: (g.arm(c), g.leg(c))
+def _measured(region: CellSet | StatTable, stat: str) -> dict[Cell, tuple[int, ...]]:
+    """{cell: statistic} over an ambient region; a CellSet is measured once here."""
+    if isinstance(region, CellSet):
+        region = {x: (region.arm(x), region.leg(x)) for x in region}
     if stat == "hook":
-        return lambda g, c: (g.hook(c),)
-    raise ValueError(f"stat must be 'al' or 'hook', got {stat!r}")
+        return {x: (arm + leg + 1,) for x, (arm, leg) in region.items()}
+    return region
+
+
+def _multiset(stat: str, tables: Iterable[StatTable]) -> Counter:
+    """(arm, leg) pairs or hooks of every cell of the tables, counted."""
+    if stat == "al":
+        return Counter(al for t in tables for al in t.values())
+    return Counter(arm + leg + 1 for t in tables for arm, leg in t.values())
 
 
 def build_certificate(
     cmap: CellMap,
-    source_ambient: CellSet,
+    source_ambient: CellSet | StatTable,
     source_members: Iterable[Cell],
-    targets: Mapping[str, tuple[CellSet, CellSet]],
+    targets: Mapping[str, tuple[CellSet | StatTable, CellSet | StatTable]],
     stat: str = "al",
 ) -> BijectionCertificate:
     """Check a CellMap against expected domain, image, and statistics.
@@ -288,9 +302,18 @@ def build_certificate(
     targets maps each tag to (ambient region, expected image cells).  The
     certificate fails if the domain differs from source_members, if two
     entries share a target, if the tagged images do not exactly cover the
-    expected cells, or if any entry changes the chosen statistic.
+    expected cells, or if any entry changes the chosen statistic.  Regions
+    may be CellSets or stat tables {cell: (arm, leg)}; each ambient CellSet
+    is measured once, on entry.
     """
-    measure = _stat_fn(stat)
+    if stat not in ("al", "hook"):
+        raise ValueError(f"stat must be 'al' or 'hook', got {stat!r}")
+    source = _measured(source_ambient, stat)
+    images = {}
+    for tag, (ambient, members) in targets.items():
+        if isinstance(members, CellSet):
+            members = members.cells
+        images[tag] = _measured(ambient, stat), members
     failures: list[dict] = []
     records: list[CertRecord] = []
 
@@ -318,11 +341,11 @@ def build_certificate(
             )
         seen[key] = e.source
 
-        if e.target_tag not in targets:
+        if e.target_tag not in images:
             failures.append({"kind": "unknown-target-tag", "tag": e.target_tag})
             continue
-        ambient, members = targets[e.target_tag]
-        if e.source not in source_ambient or e.target not in members:
+        ambient, members = images[e.target_tag]
+        if e.source not in source or e.target not in members:
             failures.append(
                 {
                     "kind": "off-region",
@@ -331,8 +354,10 @@ def build_certificate(
                 }
             )
             continue
-        s_stat = measure(source_ambient, e.source)
-        t_stat = measure(ambient, e.target)
+        s_stat = source[e.source]
+        t_stat = ambient.get(e.target)
+        if t_stat is None:
+            raise CellNotInSet(f"cell {e.target} not in the set")
         records.append(CertRecord(e.source, e.target, e.target_tag, s_stat, t_stat))
         if s_stat != t_stat:
             failures.append(
@@ -349,9 +374,8 @@ def build_certificate(
     for tag, cell in seen:
         if tag in covered:
             covered[tag].add(cell)
-    for tag, (_, members) in targets.items():
-        missed = set(members.cells if isinstance(members, CellSet) else members)
-        missed -= covered[tag]
+    for tag, (_, members) in images.items():
+        missed = set(members) - covered[tag]
         if missed:
             failures.append(
                 {"kind": "image-incomplete", "tag": tag, "missing": sorted(missed)}
@@ -366,38 +390,29 @@ def theorem_report(p: Partition, which: int) -> dict:
     which=1: hooks of SQ against hooks of R plus D.  which=2: the same with
     (arm, leg) pairs.  which=3: (arm, leg) pairs of T against T*.  The report
     contains the enumerated multisets, their first difference if any, and the
-    matching bijection certificate (psi for 1 and 2, phi for 3).
+    matching bijection certificate (psi for 1 and 2, phi for 3).  Each region
+    is measured once, into a stat table that both witnesses read.
     """
     if which == 3:
-        strip = build_region(p, "T")
-        star = build_region(p, "Tstar")
-        left = al_multiset(strip, strip)
-        right = al_multiset(star, star)
-        cert = build_certificate(
-            _phi(p, strip), strip, strip, {"Tstar": (star, star)}, "al"
-        )
-        sides = multiset_to_json(left), multiset_to_json(right)
+        source, star = _region_stats(p, "T"), _region_stats(p, "Tstar")
+        stat, targets = "al", {"Tstar": (star, star)}
+        cmap = _phi(p, source)
     elif which in (1, 2):
-        sq = build_region(p, "SQ")
-        rect = build_region(p, "R")
-        dgm = build_region(p, "D")
+        source = _region_stats(p, "SQ")
+        rect, dgm = _region_stats(p, "R"), _region_stats(p, "D")
+        stat = "al" if which == 2 else "hook"
         targets = {"R": (rect, rect), "D": (dgm, dgm)}
-        if which == 2:
-            left = al_multiset(sq, sq)
-            right = multiset_union(al_multiset(rect, rect), al_multiset(dgm, dgm))
-            cert = build_certificate(_psi(p, sq), sq, sq, targets, "al")
-            sides = multiset_to_json(left), multiset_to_json(right)
-        else:
-            left = hook_multiset(sq, sq)
-            right = multiset_union(
-                hook_multiset(rect, rect), hook_multiset(dgm, dgm)
-            )
-            cert = build_certificate(_psi(p, sq), sq, sq, targets, "hook")
-            sides = hook_multiset_to_json(left), hook_multiset_to_json(right)
+        cmap = _psi(p, source)
     else:
         raise ValueError(f"theorem must be 1, 2 or 3, got {which!r}")
 
-    oracle_equal = multiset_eq(left, right)
+    left = _multiset(stat, [source])
+    right = _multiset(stat, [ambient for ambient, _ in targets.values()])
+    cert = build_certificate(cmap, source, source, targets, stat)
+    to_json = multiset_to_json if stat == "al" else hook_multiset_to_json
+    sides = to_json(left), to_json(right)
+
+    oracle_equal = left == right
     verdict = oracle_equal and cert.verdict
     return {
         "theorem": which,
@@ -425,7 +440,13 @@ def verify_theorem(p: Partition, which: int) -> dict:
             detail = fails[0] if fails else None
         raise CounterexampleFound(
             f"identity {which} fails for alpha={p.parts} k={p.k} n={p.n}",
-            case={"alpha": list(p.parts), "k": p.k, "n": p.n, "theorem": which},
+            case={
+                "alpha": list(p.parts),
+                "k": p.k,
+                "n": p.n,
+                "theorem": which,
+                "repro": _verify_command(p, str(which)),
+            },
             detail=detail,
         )
     return report

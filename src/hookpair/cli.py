@@ -177,6 +177,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except CounterexampleFound as exc:
         print(f"counterexample: {exc}", file=sys.stderr)
+        if isinstance(exc.case, dict) and "repro" in exc.case:
+            print(f"reproduce: {exc.case['repro']}", file=sys.stderr)
         return 1
     except (HookpairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

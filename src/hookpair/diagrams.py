@@ -28,6 +28,9 @@ from .errors import (
 
 Cell = tuple[int, int]
 
+# {(r, c): (arm, leg)} over the cells of a region, in row-major order
+StatTable = dict[Cell, tuple[int, int]]
+
 REGION_KINDS = ("D", "R", "T", "V", "SQ", "Tstar", "R1", "R2", "T1star", "T2star")
 
 
@@ -87,6 +90,12 @@ class Partition:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
 
 
+def _verify_command(p: Partition, theorem: str) -> str:
+    """The ``hookpair verify`` command line that rechecks one identity on p."""
+    alpha = ",".join(str(a) for a in p.parts)
+    return f"hookpair verify --k {p.k} --n {p.n} --alpha {alpha} --theorem {theorem}"
+
+
 def conjugate(p: Partition) -> Partition:
     """Transpose of the partition: part j of the result counts parts of p that are >= j.
 
@@ -106,10 +115,14 @@ class CellSet:
     __slots__ = ("_cells", "_rows", "_cols")
 
     def __init__(self, cells: Iterable[Cell] = ()):
-        frozen = frozenset((int(r), int(c)) for r, c in cells)
-        for r, c in frozen:
+        # checked before hashing, where True and 1.0 would merge with 1
+        pairs = [(r, c) for r, c in cells]
+        for r, c in pairs:
+            if type(r) is not int or type(c) is not int:
+                raise NotAnInteger(f"cell coordinates must be integers: ({r!r}, {c!r})")
             if r < 1 or c < 1:
                 raise ValueError(f"cell ({r},{c}) outside the positive quadrant")
+        frozen = frozenset(pairs)
         rows: dict[int, list[int]] = {}
         cols: dict[int, list[int]] = {}
         for r, c in sorted(frozen):
@@ -124,6 +137,8 @@ class CellSet:
         """Build from {row: (col_min, col_max)}; rows with col_min > col_max are skipped."""
         cells = []
         for r, (lo, hi) in intervals.items():
+            if type(lo) is not int or type(hi) is not int:
+                raise NotAnInteger(f"row {r!r} bounds must be integers: {lo!r}..{hi!r}")
             cells.extend((r, c) for c in range(lo, hi + 1))
         return cls(cells)
 
@@ -337,6 +352,20 @@ def _rising_leg(rows: list[tuple[int, int]]) -> Callable[[int, int], int]:
     return leg
 
 
+def _region_stats(p: Partition, kind: str) -> StatTable:
+    """{(r, c): (arm, leg)} of every cell of a rising region, in row-major order.
+
+    Raises NotRising for a region whose rows fall (R1, R2); arm is hi - c.
+    """
+    rows = _region_rows(p, kind)
+    leg = _rising_leg(rows)
+    return {
+        (r, c): (hi - c, leg(r, c))
+        for r, (lo, hi) in enumerate(rows, 1)
+        for c in range(lo, hi + 1)
+    }
+
+
 def al_multiset(g: CellSet, e: CellSet | Iterable[Cell]) -> Counter:
     """Multiset of (arm, leg) pairs of the cells of ``e`` measured inside ``g``."""
     members = e.cells if isinstance(e, CellSet) else frozenset(e)
@@ -377,14 +406,6 @@ def arm_prefix(g: CellSet, i: int) -> CellSet:
             raise IndexOutOfRange(f"row {r} has only {len(cols)} cells, need {i}")
         picked.extend((r, c) for c in cols[-i:])
     return CellSet(picked)
-
-
-def multiset_eq(a: Counter, b: Counter) -> bool:
-    return +a == +b
-
-
-def multiset_union(a: Counter, b: Counter) -> Counter:
-    return a + b
 
 
 def multiset_to_json(m: Counter) -> list[dict]:

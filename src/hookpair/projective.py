@@ -27,6 +27,7 @@ from .diagrams import (
     Partition,
     _region_rows,
     _rising_leg,
+    _verify_command,
     build_region,
     first_multiset_difference,
 )
@@ -486,7 +487,11 @@ def verify_projective(b: ClassBPartition) -> dict:
     if report["theorem"] != "pass":
         raise CounterexampleFound(
             f"diagonal identity fails for alpha={b.alpha}",
-            case={"alpha": list(b.alpha.parts), "k": b.k},
+            case={
+                "alpha": list(b.alpha.parts),
+                "k": b.k,
+                "repro": _verify_command(b.alpha, "proj"),
+            },
             detail=first_multiset_difference(lhs, rhs),
         )
     return report

@@ -1,5 +1,6 @@
 """Tests for the region maps, their certificates, and the identity checks."""
 
+import shlex
 from collections import Counter
 
 import pytest
@@ -16,13 +17,70 @@ from hookpair.bijections import (
     verify_theorem,
     zeta_map,
 )
-from hookpair.diagrams import Partition, al_multiset, arm_slice, build_region
+from hookpair.cli import main
+from hookpair.diagrams import (
+    Partition,
+    _region_stats,
+    al_multiset,
+    arm_slice,
+    build_region,
+    hook_multiset_to_json,
+    multiset_to_json,
+)
 from hookpair.errors import CellNotInSet, CellNotInT, CounterexampleFound
 
-from util import count_region_builds, partitions, phi_reference_json, sweep_partitions
+from util import (
+    arm_by_scan,
+    count_cellsets,
+    count_region_builds,
+    leg_by_scan,
+    partitions,
+    phi_reference_json,
+    sweep_partitions,
+)
 
 BIG = Partition((11, 11, 9, 8, 8, 6, 3, 1, 0), k=9, n=11)
 FIG = Partition((6, 5, 3, 1), k=4, n=6)
+TWO_CELL = Partition((1, 0), k=2, n=1)
+
+
+def swapped_phi(p, a, b):
+    """phi with the targets of cells a and b exchanged."""
+    strip = build_region(p, "T")
+    swapped = {e.source: e.target for e in phi_map(p)}
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    return CellMap(
+        "T",
+        [MapEntry(s, t, "Tstar", (strip.arm(s), strip.leg(s)))
+         for s, t in swapped.items()],
+    )
+
+
+def colliding_map():
+    """Both cells of TWO_CELL's strip sent to one cell of T*."""
+    return CellMap(
+        "T",
+        [
+            MapEntry((1, 1), (1, 1), "Tstar", (0, 0)),
+            MapEntry((2, 2), (1, 1), "Tstar", (0, 0)),
+        ],
+    )
+
+
+def partial_map():
+    """TWO_CELL's strip map with the cell (2, 2) left out."""
+    return CellMap("T", [MapEntry((1, 1), (2, 2), "Tstar", (0, 0))])
+
+
+def stray_source_map():
+    """TWO_CELL's strip map with the source (2, 2) moved off the strip."""
+    return CellMap(
+        "T",
+        [
+            MapEntry((1, 1), (2, 2), "Tstar", (0, 0)),
+            MapEntry((2, 1), (1, 1), "Tstar", (0, 0)),
+        ],
+    )
 
 
 class TestRotT:
@@ -116,7 +174,8 @@ class TestPhiReference:
 
 
 class TestRegionBuilds:
-    """phi, psi and the reports build a fixed set of regions, however many cuts."""
+    """phi, psi and the reports measure a fixed set of regions into stat
+    tables, however many cuts, and build no region."""
 
     NARROW = Partition((3, 2, 2, 0), k=4, n=3)
     WIDE = Partition((12, 7, 7, 0), k=4, n=12)
@@ -124,15 +183,27 @@ class TestRegionBuilds:
     def test_phi_builds_do_not_grow_with_n(self, monkeypatch):
         narrow = count_region_builds(monkeypatch, lambda: phi_map(self.NARROW))
         wide = count_region_builds(monkeypatch, lambda: phi_map(self.WIDE))
-        assert narrow == wide == ["T"]
+        assert narrow == wide == []
+        for p in (self.NARROW, self.WIDE):
+            tables = count_region_builds(monkeypatch, lambda: phi_map(p), "_region_stats")
+            assert tables == ["T"], p
 
     def test_reports_build_each_region_once(self, monkeypatch):
-        expected = {1: ["D", "R", "R1", "SQ", "T", "V"], 3: ["T", "Tstar"]}
-        expected[2] = expected[1]
+        measured = {1: ["D", "R", "SQ"], 2: ["D", "R", "SQ"], 3: ["T", "Tstar"]}
         for which in (1, 2, 3):
             for p in (self.NARROW, self.WIDE):
-                built = count_region_builds(monkeypatch, lambda: theorem_report(p, which))
-                assert built == expected[which], (p, which)
+                def report():
+                    theorem_report(p, which)
+
+                assert count_region_builds(monkeypatch, report) == [], (p, which)
+                tables = count_region_builds(monkeypatch, report, "_region_stats")
+                assert tables == measured[which], (p, which)
+
+    def test_reports_construct_no_cellset(self, monkeypatch):
+        for which in (1, 2, 3):
+            for p in (self.NARROW, self.WIDE):
+                made = count_cellsets(monkeypatch, lambda: theorem_report(p, which))
+                assert made == 0, (p, which)
 
 
 class TestZeta:
@@ -247,46 +318,75 @@ class TestCertificateFailures:
         p = Partition((2, 1), k=2, n=2)
         strip = build_region(p, "T")
         star = build_region(p, "Tstar")
-        good = phi_map(p)
-        swapped = {}
-        a, b = (1, 1), (1, 2)
-        for e in good:
-            swapped[e.source] = e.target
-        swapped[a], swapped[b] = swapped[b], swapped[a]
-        bad = CellMap(
-            "T",
-            [MapEntry(s, t, "Tstar", (strip.arm(s), strip.leg(s)))
-             for s, t in swapped.items()],
-        )
+        bad = swapped_phi(p, (1, 1), (1, 2))
         cert = build_certificate(bad, strip, strip, {"Tstar": (star, star)})
         assert not cert.verdict
         kinds = {f["kind"] for f in cert.failures}
         assert "stat-mismatch" in kinds
 
     def test_duplicate_target_detected(self):
-        p = Partition((1, 0), k=2, n=1)
-        strip = build_region(p, "T")
-        star = build_region(p, "Tstar")
-        bad = CellMap(
-            "T",
-            [
-                MapEntry((1, 1), (1, 1), "Tstar", (0, 0)),
-                MapEntry((2, 2), (1, 1), "Tstar", (0, 0)),
-            ],
-        )
-        cert = build_certificate(bad, strip, strip, {"Tstar": (star, star)})
+        strip = build_region(TWO_CELL, "T")
+        star = build_region(TWO_CELL, "Tstar")
+        cert = build_certificate(colliding_map(), strip, strip, {"Tstar": (star, star)})
         assert not cert.verdict
         kinds = {f["kind"] for f in cert.failures}
         assert "not-injective" in kinds and "image-incomplete" in kinds
 
     def test_missing_domain_detected(self):
-        p = Partition((1, 0), k=2, n=1)
-        strip = build_region(p, "T")
-        star = build_region(p, "Tstar")
-        bad = CellMap("T", [MapEntry((1, 1), (2, 2), "Tstar", (0, 0))])
-        cert = build_certificate(bad, strip, strip, {"Tstar": (star, star)})
+        strip = build_region(TWO_CELL, "T")
+        star = build_region(TWO_CELL, "Tstar")
+        cert = build_certificate(partial_map(), strip, strip, {"Tstar": (star, star)})
         assert not cert.verdict
         assert any(f["kind"] == "domain-mismatch" for f in cert.failures)
+
+    def test_source_outside_ambient_detected(self):
+        strip = build_region(TWO_CELL, "T")
+        star = build_region(TWO_CELL, "Tstar")
+        cert = build_certificate(stray_source_map(), strip, strip, {"Tstar": (star, star)})
+        assert not cert.verdict
+        assert {"kind": "off-region", "from": [2, 1], "to": ["Tstar", [1, 1]]} in cert.failures
+
+    @pytest.mark.parametrize(
+        "p, cmap",
+        [
+            (Partition((2, 1), k=2, n=2),
+             lambda: swapped_phi(Partition((2, 1), k=2, n=2), (1, 1), (1, 2))),
+            (TWO_CELL, colliding_map),
+            (TWO_CELL, partial_map),
+            (TWO_CELL, stray_source_map),
+        ],
+        ids=["stat-mismatch", "not-injective", "domain-mismatch", "off-region"],
+    )
+    @pytest.mark.parametrize("stat", ["al", "hook"])
+    def test_stat_tables_certify_like_cellsets(self, p, cmap, stat):
+        strip, star = build_region(p, "T"), build_region(p, "Tstar")
+        t_table, star_table = _region_stats(p, "T"), _region_stats(p, "Tstar")
+        from_sets = build_certificate(cmap(), strip, strip, {"Tstar": (star, star)}, stat)
+        from_tables = build_certificate(
+            cmap(), t_table, t_table, {"Tstar": (star_table, star_table)}, stat
+        )
+        assert not from_sets.verdict
+        assert from_tables == from_sets
+
+    @pytest.mark.parametrize("stat", ["al", "hook"])
+    def test_stat_tables_certify_psi_like_cellsets(self, stat):
+        kinds = ("SQ", "R", "D")
+        sq, rect, dgm = (build_region(FIG, kind) for kind in kinds)
+        sq_t, rect_t, dgm_t = (_region_stats(FIG, kind) for kind in kinds)
+        cmap = psi_map(FIG)
+        from_sets = build_certificate(
+            cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)}, stat
+        )
+        from_tables = build_certificate(
+            cmap, sq_t, sq_t, {"R": (rect_t, rect_t), "D": (dgm_t, dgm_t)}, stat
+        )
+        assert from_sets.verdict and len(from_sets.records) == len(cmap)
+        assert from_tables == from_sets
+
+    def test_unknown_stat_rejected(self):
+        strip = build_region(TWO_CELL, "T")
+        with pytest.raises(ValueError):
+            build_certificate(phi_map(TWO_CELL), strip, strip, {}, "coleg")
 
 
 class TestTheorems:
@@ -328,23 +428,64 @@ class TestTheorems:
         import hookpair.bijections as bj
 
         p = Partition((1, 0), k=2, n=1)
-        strip = build_region(p, "T")
 
-        # theorem_report hands its strip to the private _phi, so the broken
-        # map replaces that function
-        def broken(_p, _strip):
-            return CellMap(
-                "T",
-                [
-                    MapEntry((1, 1), (1, 1), "Tstar", (0, 0)),
-                    MapEntry((2, 2), (1, 1), "Tstar", (0, 0)),
-                ],
-            )
+        # theorem_report hands the stat table of T to the private _phi, so
+        # the broken map replaces that function
+        def broken(_p, _stats):
+            return colliding_map()
 
         monkeypatch.setattr(bj, "_phi", broken)
         with pytest.raises(CounterexampleFound) as exc:
             verify_theorem(p, 3)
         assert exc.value.case["theorem"] == 3
+
+    def test_counterexample_carries_repro_command(self, monkeypatch, capsys):
+        import hookpair.bijections as bj
+
+        monkeypatch.setattr(bj, "_phi", lambda _p, _stats: colliding_map())
+        with pytest.raises(CounterexampleFound) as exc:
+            verify_theorem(TWO_CELL, 3)
+        repro = "hookpair verify --k 2 --n 1 --alpha 1,0 --theorem 3"
+        assert exc.value.case["repro"] == repro
+
+        # the omitted trailing zero is spelled out in the printed command
+        argv = ["verify", "--k", "2", "--n", "1", "--alpha", "1", "--theorem", "3"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("counterexample: identity 3 fails")
+        assert err[1:] == [f"reproduce: {repro}"]
+        printed = err[1].removeprefix("reproduce: ")
+        assert main(shlex.split(printed)[1:]) == 1
+        assert capsys.readouterr().err.splitlines()[1:] == err[1:]
+
+    def test_report_statistics_match_scans(self):
+        # both witnesses' numbers, against scans of the built regions
+        regions = {1: ("SQ", ("R", "D")), 2: ("SQ", ("R", "D")), 3: ("T", ("Tstar",))}
+        for p in list(sweep_partitions(3, 3)) + [FIG]:
+            for which, (src_kind, dst_kinds) in regions.items():
+                hooks = which == 1
+
+                def stat(g, cell):
+                    arm, leg = arm_by_scan(g, cell), leg_by_scan(g, cell)
+                    return [arm + leg + 1] if hooks else [arm, leg]
+
+                def counted(gs):
+                    keys = (stat(g, x) for g in gs for x in g)
+                    if hooks:
+                        return hook_multiset_to_json(Counter(h for (h,) in keys))
+                    return multiset_to_json(Counter(tuple(al) for al in keys))
+
+                src = build_region(p, src_kind)
+                dst = {kind: build_region(p, kind) for kind in dst_kinds}
+                report = theorem_report(p, which)
+                assert report["oracle"]["left"] == counted([src]), (p, which)
+                assert report["oracle"]["right"] == counted(dst.values()), (p, which)
+                entries = report["certificate"]["entries"]
+                assert len(entries) == len(src), (p, which)
+                for e in entries:
+                    assert e["sourceStat"] == stat(src, tuple(e["from"])), (p, which, e)
+                    target = dst[e["target"]]
+                    assert e["targetStat"] == stat(target, tuple(e["to"])), (p, which, e)
 
     def test_oracle_and_certificate_agree_sweep(self):
         for p in sweep_partitions(3, 3):

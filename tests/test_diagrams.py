@@ -8,6 +8,7 @@ from hookpair.diagrams import (
     CellSet,
     Partition,
     _region_rows,
+    _region_stats,
     _rising_leg,
     al_multiset,
     arm_prefix,
@@ -16,9 +17,7 @@ from hookpair.diagrams import (
     conjugate,
     first_multiset_difference,
     hook_multiset,
-    multiset_eq,
     multiset_to_json,
-    multiset_union,
 )
 from hookpair.errors import (
     CellNotInSet,
@@ -180,6 +179,27 @@ class TestCellSet:
         with pytest.raises(ValueError):
             CellSet({(1, 1), (1, 3)}).to_json()
 
+    @pytest.mark.parametrize(
+        "cells",
+        [[(1.5, 2)], [(1, 2.0)], [(True, 1)], [(1, False)], [(1, 1), (True, 1)],
+         [(1.5, 2), (True, 1)]],
+    )
+    def test_rejects_non_int_coordinates(self, cells):
+        # True and 1.0 hash like 1, so a set would silently merge them
+        with pytest.raises(NotAnInteger):
+            CellSet(cells)
+
+    @pytest.mark.parametrize("bounds", [(1, 2.0), (1.0, 2), (True, 2), (1, "2")])
+    def test_json_rejects_non_int_bounds(self, bounds):
+        lo, hi = bounds
+        data = {"rows": [{"row": 1, "colMin": lo, "colMax": hi}]}
+        with pytest.raises(NotAnInteger):
+            CellSet.from_json(data)
+
+    def test_json_rejects_non_int_row(self):
+        with pytest.raises(NotAnInteger):
+            CellSet.from_json({"rows": [{"row": 1.5, "colMin": 1, "colMax": 2}]})
+
 
 class TestRegions:
     def test_t_small(self):
@@ -271,6 +291,36 @@ class TestRisingLeg:
             assert leg(r, c) == leg_by_scan(g, (r, c)), (r, c)
 
 
+class TestRegionStats:
+    """_region_stats against scans of the built region's cells."""
+
+    KINDS = ("T", "Tstar", "SQ", "R", "D")
+
+    @classmethod
+    def assert_stats_match_scans(cls, p):
+        for kind in cls.KINDS:
+            g = build_region(p, kind)
+            stats = _region_stats(p, kind)
+            # the same cells, in row-major order
+            assert list(stats) == list(g), (p, kind)
+            for cell, al in stats.items():
+                assert al == (arm_by_scan(g, cell), leg_by_scan(g, cell)), (p, kind, cell)
+
+    def test_matches_scans_sweep(self):
+        for p in sweep_partitions(4, 4):
+            self.assert_stats_match_scans(p)
+
+    @given(partitions(max_k=8, max_n=8))
+    def test_matches_scans_sample(self, p):
+        self.assert_stats_match_scans(p)
+
+    def test_falling_regions_rejected(self):
+        p = Partition((6, 5, 3, 1), 4, 6)
+        for kind in ("R1", "R2"):
+            with pytest.raises(NotRising):
+                _region_stats(p, kind)
+
+
 class TestShapeIdentities:
     def test_rotate_t_gives_tstar(self):
         p = Partition((2, 1), 2, 2)
@@ -320,9 +370,9 @@ class TestStatisticsOnRegions:
         r = build_region(p, "R")
         d = build_region(p, "D")
         lhs = al_multiset(sq, sq)
-        rhs = multiset_union(al_multiset(r, r), al_multiset(d, d))
+        rhs = al_multiset(r, r) + al_multiset(d, d)
         assert lhs == Counter({(1, 0): 1, (0, 0): 3, (1, 1): 2, (0, 1): 1})
-        assert multiset_eq(lhs, rhs)
+        assert +lhs == +rhs
 
     def test_restricted_multiset(self):
         p = Partition((2, 1), 2, 2)

@@ -1,6 +1,7 @@
 """Tests for the n = k+1 family: Frobenius form, diagonals, shifted strips,
 and the decomposition of leg multisets."""
 
+import shlex
 from collections import Counter
 
 import pytest
@@ -37,7 +38,13 @@ from hookpair.projective import (
     verify_projective,
 )
 
-from util import arm_by_scan, count_region_builds, leg_by_scan, strict_partitions
+from util import (
+    arm_by_scan,
+    count_cellsets,
+    count_region_builds,
+    leg_by_scan,
+    strict_partitions,
+)
 
 SMALL = alpha_from_strict(StrictPartition((4, 2), k=5))
 GOLD = alpha_from_strict(StrictPartition((11, 9, 8, 5, 3, 2), k=12))
@@ -288,16 +295,9 @@ class TestRowIntervals:
          alpha_from_strict(StrictPartition((9, 7, 4, 2), k=9))],
     )
     def test_report_builds_no_region(self, monkeypatch, b):
-        made = []
-        original = CellSet.__init__
-
-        def counting(self, cells=()):
-            made.append(1)
-            original(self, cells)
-
-        monkeypatch.setattr(CellSet, "__init__", counting)
         built = count_region_builds(monkeypatch, lambda: projective_report(b))
-        assert built == [] and made == []
+        made = count_cellsets(monkeypatch, lambda: projective_report(b))
+        assert built == [] and made == 0
 
     def test_short_row_has_no_arm_slice(self):
         import hookpair.projective as pj
@@ -425,3 +425,23 @@ class TestProjectiveIdentity:
             verify_projective(SMALL)
         assert exc.value.detail == {"key": (-1, -1), "left": 1, "right": 0}
         assert sorted(shapes) == [SMALL.k, SMALL.k, 2 * SMALL.k]
+
+    def test_failure_carries_repro_command(self, monkeypatch, capsys):
+        import hookpair.projective as pj
+        from hookpair.cli import main
+
+        original = pj._al_multiset
+
+        def corrupted(rows, leg, part):
+            out = original(rows, leg, part)
+            if len(rows) == 2 * SMALL.k:
+                out[(-1, -1)] += 1
+            return out
+
+        monkeypatch.setattr(pj, "_al_multiset", corrupted)
+        with pytest.raises(CounterexampleFound) as exc:
+            verify_projective(SMALL)
+        repro = exc.value.case["repro"]
+        assert repro == "hookpair verify --k 5 --n 6 --alpha 5,4,2,1,0 --theorem proj"
+        assert main(shlex.split(repro)[1:]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"reproduce: {repro}"

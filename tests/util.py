@@ -61,12 +61,13 @@ cell_sets = st.sets(
 ).map(CellSet)
 
 
-def count_region_builds(monkeypatch, run):
-    """Sorted kinds of the build_region calls made while run() runs, from any
-    hookpair module that imported it."""
+def count_region_builds(monkeypatch, run, function="build_region"):
+    """Sorted kinds of the calls to diagrams.<function> (build_region, or
+    _region_stats for stat tables) made while run() runs, from any hookpair
+    module that imported it."""
     import hookpair.diagrams as dg
 
-    original = dg.build_region
+    original = getattr(dg, function)
     calls = []
 
     def counting(p, kind):
@@ -74,11 +75,26 @@ def count_region_builds(monkeypatch, run):
         return original(p, kind)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("hookpair") and vars(mod).get("build_region") is original:
-            monkeypatch.setattr(mod, "build_region", counting)
+        if name.startswith("hookpair") and vars(mod).get(function) is original:
+            monkeypatch.setattr(mod, function, counting)
     run()
     monkeypatch.undo()
     return sorted(calls)
+
+
+def count_cellsets(monkeypatch, run):
+    """Number of CellSets constructed while run() runs."""
+    made = []
+    original = CellSet.__init__
+
+    def counting(self, cells=()):
+        made.append(1)
+        original(self, cells)
+
+    monkeypatch.setattr(CellSet, "__init__", counting)
+    run()
+    monkeypatch.undo()
+    return len(made)
 
 
 def arm_by_scan(g, cell):
