@@ -109,25 +109,25 @@ def rot_T(p: Partition, x: Cell) -> Cell:
     return (p.k + 1 - r, p.n + p.part(1) - p.part(p.k) + 1 - c)
 
 
-def _phi(p: Partition, stats: StatTable) -> CellMap:
-    """phi_map with each entry's (arm, leg) read from a stat table holding T.
+def _phi(p: Partition, stats: StatTable) -> list[MapEntry]:
+    """phi_map's entries, each (arm, leg) read from a stat table holding T.
 
     SQ's table serves too: SQ is T with V stacked above it, so a strip cell
     has the same arm and leg in both.
     """
-    a, k, n = p.parts, p.k, p.n
+    star_rows = _region_rows(p, "Tstar")
     entries = []
-    for i in range(1, n + 1):
+    for i in range(1, p.n + 1):
         sigma = build_sigma(p, i)
         pairing = pair_updown(build_dyck(sigma))
         for lab in sigma:
             if lab.kind != "x":
                 continue
             row = pairing[lab.index]
-            # row r of T* spans columns a_{k+1-r}-a_k+1 .. n+a_{k+1-r}-a_k
-            target = (row, n + a[k - row] - a[-1] - i + 1)
+            # the arm-(i-1) cell of row `row` of T*
+            target = (row, star_rows[row - 1][1] - i + 1)
             entries.append(MapEntry(lab.cell, target, "Tstar", stats[lab.cell]))
-    return CellMap("T", entries)
+    return entries
 
 
 def phi_map(p: Partition) -> CellMap:
@@ -139,7 +139,7 @@ def phi_map(p: Partition) -> CellMap:
     bounding box of the arm-prefix at cut i, of the rightmost cell of T in
     row k+1-P_i(j).
     """
-    return _phi(p, _region_stats(p, "T"))
+    return CellMap("T", _phi(p, _region_stats(p, "T")))
 
 
 def _column_rows(rows: list[tuple[int, int]], c: int) -> list[int]:
@@ -147,8 +147,8 @@ def _column_rows(rows: list[tuple[int, int]], c: int) -> list[int]:
     return [r for r, (lo, hi) in enumerate(rows, 1) if lo <= c <= hi]
 
 
-def _zeta1(p: Partition, sq: StatTable) -> CellMap:
-    """zeta_map kind 1 with (arm, leg) read from SQ's stat table."""
+def _zeta1(p: Partition, sq: StatTable) -> list[MapEntry]:
+    """zeta_map kind 1's entries, with (arm, leg) read from SQ's stat table."""
     width = p.part(1)
     v_rows, r1_rows = _region_rows(p, "V"), _region_rows(p, "R1")
     entries = []
@@ -160,34 +160,28 @@ def _zeta1(p: Partition, sq: StatTable) -> CellMap:
         for sr, dr in zip(reversed(src_rows), reversed(dst_rows), strict=True):
             src = (sr, src_col)
             entries.append(MapEntry(src, (dr, dst_col), "R", sq[src]))
-    return CellMap("V", entries)
+    return entries
 
 
-def _zeta2(p: Partition, star: CellSet, t1star: CellSet) -> CellMap:
-    entries = [
-        MapEntry(
-            (r, c),
-            (r, c - (p.part(p.k - r + 1) - p.part(p.k))),
-            "R",
-            (star.arm((r, c)), star.leg((r, c))),
-        )
-        for r, c in t1star
-    ]
-    return CellMap("T1star", entries)
+def _star_image(
+    p: Partition, star_rows: list[tuple[int, int]], y: Cell
+) -> tuple[Cell, str]:
+    """The image of a cell y of T* under zeta_2 or zeta_3, with its tag.
 
-
-def _zeta3(p: Partition, star: CellSet, t2star: CellSet) -> CellMap:
-    shift = p.n - p.part(p.k)
-    entries = [
-        MapEntry(
-            (r, c),
-            (r, c - shift),
-            "D",
-            (star.arm((r, c)), star.leg((r, c))),
-        )
-        for r, c in t2star
-    ]
-    return CellMap("T2star", entries)
+    star_rows are T*'s rows.  A cell in T*1 (c <= n - a_k) is left-justified
+    into R2; any other cell is translated onto D by n - a_k.  Raises
+    CellNotInSet when y is not in T*.
+    """
+    r, c = y
+    # a row outside 1..k is empty; tested before indexing, where
+    # star_rows[-1] would silently stand in for row 0
+    lo, hi = star_rows[r - 1] if 1 <= r <= p.k else (1, 0)
+    if not lo <= c <= hi:
+        raise CellNotInSet(f"cell {y} is not in T*")
+    cut = p.n - p.parts[-1]
+    if c <= cut:
+        return (r, c - lo + 1), "R"
+    return (r, c - cut), "D"
 
 
 def zeta_map(p: Partition, kind: int) -> CellMap:
@@ -200,32 +194,28 @@ def zeta_map(p: Partition, kind: int) -> CellMap:
     ambient regions (SQ for kind 1, T* for kinds 2 and 3).
     """
     if kind == 1:
-        return _zeta1(p, _region_stats(p, "SQ"))
-    if kind == 2:
-        return _zeta2(p, build_region(p, "Tstar"), build_region(p, "T1star"))
-    if kind == 3:
-        return _zeta3(p, build_region(p, "Tstar"), build_region(p, "T2star"))
-    raise ValueError(f"zeta kind must be 1, 2 or 3, got {kind!r}")
+        return CellMap("V", _zeta1(p, _region_stats(p, "SQ")))
+    if kind not in (2, 3):
+        raise ValueError(f"zeta kind must be 1, 2 or 3, got {kind!r}")
+    source_tag, tag = ("T1star", "R") if kind == 2 else ("T2star", "D")
+    star_rows = _region_rows(p, "Tstar")
+    entries = []
+    for y, al in _region_stats(p, "Tstar").items():
+        target, target_tag = _star_image(p, star_rows, y)
+        if target_tag == tag:
+            entries.append(MapEntry(y, target, tag, al))
+    return CellMap(source_tag, entries)
 
 
 def _psi(p: Partition, sq: StatTable) -> CellMap:
     """psi_map with every (arm, leg) read from SQ's stat table.
 
-    A strip cell's phi image y = (r, c) in T* is followed by zeta_2 when it
-    lies in T*1 (c <= n - a_k) and by zeta_3 otherwise, both row arithmetic.
+    A strip cell's phi image in T* is followed by zeta_2 or zeta_3.
     """
-    a, k, n = p.parts, p.k, p.n
-    ak = a[-1]
-    entries = list(_zeta1(p, sq).entries)
+    star_rows = _region_rows(p, "Tstar")
+    entries = _zeta1(p, sq)
     for e in _phi(p, sq):
-        r, c = e.target
-        # row r of T* spans a_{k+1-r}-a_k+1 .. n+a_{k+1-r}-a_k
-        if not 1 <= r <= k or not a[k - r] - ak < c <= n + a[k - r] - ak:
-            raise CellNotInSet(f"phi image {e.target} of {e.source} is not in T*")
-        if c <= n - ak:
-            target, tag = (r, c - (a[k - r] - ak)), "R"
-        else:
-            target, tag = (r, c - (n - ak)), "D"
+        target, tag = _star_image(p, star_rows, e.target)
         entries.append(MapEntry(e.source, target, tag, e.al))
     return CellMap("SQ", entries)
 
@@ -396,7 +386,7 @@ def theorem_report(p: Partition, which: int) -> dict:
     if which == 3:
         source, star = _region_stats(p, "T"), _region_stats(p, "Tstar")
         stat, targets = "al", {"Tstar": (star, star)}
-        cmap = _phi(p, source)
+        cmap = CellMap("T", _phi(p, source))
     elif which in (1, 2):
         source = _region_stats(p, "SQ")
         rect, dgm = _region_stats(p, "R"), _region_stats(p, "D")

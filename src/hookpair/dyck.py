@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Cell, Partition
+from .diagrams import Cell, Partition, _region_rows
 from .errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
 
 __all__ = [
@@ -110,12 +110,11 @@ def label_cells(p: Partition, i: int) -> tuple[list[Label], list[Label]]:
     families occupy the same cells.
     """
     _require_cut(p, i)
-    # row j of T spans columns a1-a_j+1 .. n+a1-a_j, so both label cells
-    # follow from the parts without building the strip
-    a, k = p.parts, p.k
-    right = p.n + a[0]
-    xs = [Label("x", j, (j, right - a[j - 1] - i + 1)) for j in range(1, k + 1)]
-    zs = [Label("z", j, (k + 1 - j, right - a[k - j])) for j in range(1, k + 1)]
+    # both label cells sit at a fixed distance from their row's right end
+    his = [hi for _, hi in _region_rows(p, "T")]
+    k = p.k
+    xs = [Label("x", j, (j, his[j - 1] - i + 1)) for j in range(1, k + 1)]
+    zs = [Label("z", j, (k + 1 - j, his[k - j])) for j in range(1, k + 1)]
     return xs, zs
 
 

@@ -317,7 +317,7 @@ def _compute_decomposition(
         if (alpha.part(j) if j <= k else 0) <= i - 1
     )
     s_eff = min(s, u)
-    diag_t = k + a1 + 1
+    diag_t, diag_d = _diagonal_total(b, "T"), _diagonal_total(b, "D")
 
     ti = _shifted_rows(strip, u, a1)
     ti_leg = _rising_leg(ti)
@@ -348,7 +348,7 @@ def _compute_decomposition(
     m4 = Counter(
         dgm_leg(r, hi - i + 1)
         for r, (lo, hi) in enumerate(dgm, 1)
-        if hi - lo + 1 >= i and r + hi - i + 1 > k + 1
+        if hi - lo + 1 >= i and r + hi - i + 1 > diag_d
     )
 
     checks = {

@@ -205,6 +205,17 @@ class TestRegionBuilds:
                 made = count_cellsets(monkeypatch, lambda: theorem_report(p, which))
                 assert made == 0, (p, which)
 
+    def test_star_zetas_measure_tstar_once(self, monkeypatch):
+        for kind in (2, 3):
+            for p in (self.NARROW, self.WIDE):
+                def run():
+                    zeta_map(p, kind)
+
+                assert count_region_builds(monkeypatch, run) == [], (p, kind)
+                assert count_cellsets(monkeypatch, run) == 0, (p, kind)
+                tables = count_region_builds(monkeypatch, run, "_region_stats")
+                assert tables == ["Tstar"], (p, kind)
+
 
 class TestZeta:
     def test_translation_onto_d(self):
@@ -288,18 +299,33 @@ class TestPsi:
                     follow.target, follow.target_tag
                 ), (p, e.source)
 
-    @pytest.mark.parametrize("dr, dc", [(0, 6), (0, -6), (4, 0), (-4, 0)])
-    def test_phi_image_outside_tstar_rejected(self, monkeypatch, dr, dc):
+    @pytest.mark.parametrize(
+        "dr, dc, only_row",
+        [
+            pytest.param(0, 6, None, id="0-6"),
+            pytest.param(0, -6, None, id="0--6"),
+            pytest.param(4, 0, None, id="4-0"),
+            pytest.param(-4, 0, None, id="-4-0"),
+            # a single image, from the top row to row 0, where an index of -1
+            # would read the top row's columns, and from the bottom row to k+1
+            pytest.param(-FIG.k, 0, FIG.k, id="one-top-to-row-0"),
+            pytest.param(FIG.k, 0, 1, id="one-bottom-to-row-k+1"),
+        ],
+    )
+    def test_phi_image_outside_tstar_rejected(self, monkeypatch, dr, dc, only_row):
         import hookpair.bijections as bj
 
         good = bj._phi
 
         def moved(p, strip):
-            return CellMap(
-                "T",
-                [MapEntry(e.source, (e.target[0] + dr, e.target[1] + dc),
-                          e.target_tag, e.al) for e in good(p, strip)],
-            )
+            entries = list(good(p, strip))
+            for t, e in enumerate(entries):
+                if only_row in (None, e.target[0]):
+                    target = (e.target[0] + dr, e.target[1] + dc)
+                    entries[t] = MapEntry(e.source, target, e.target_tag, e.al)
+                    if only_row is not None:
+                        break
+            return entries
 
         monkeypatch.setattr(bj, "_phi", moved)
         with pytest.raises(CellNotInSet):

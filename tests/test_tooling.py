@@ -26,6 +26,30 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_private_helpers_have_callers():
+    # a module-level _helper that nothing in the package names is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert defined
+    assert sorted(defined - named) == []
+
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
