@@ -2,9 +2,11 @@
 
 import json
 import math
+import multiprocessing
 
 import pytest
 
+import hookpair.cli as cli
 import hookpair.sweep as sweep_mod
 from hookpair.errors import CaseMismatch
 from hookpair.projective import is_class_B
@@ -142,6 +144,81 @@ class TestRunSweep:
             c for c in data["cases"] if c["theorem"] == "projective"
         ]
         assert [c["lambda"] for c in projective_rows] == [[], [1]]
+
+
+# Patched checks reach pool workers only when the workers are forked.
+JOBS = [
+    1,
+    pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="patched checks reach workers only by fork",
+    )),
+]
+
+# Cases made to fail: (identity, alpha, n) in the box, (lambda, k) in the
+# family.  Box cases come first in a sweep, the family last.
+FAILING_BOX = {("2", (1, 0), 2), ("2", (3,), 3)}
+FAILING_FAMILY = {((1,), 1), ((2, 1), 2)}
+
+
+@pytest.fixture
+def planted_failures(monkeypatch):
+    real_theorem = sweep_mod.theorem_report
+    real_projective = sweep_mod.projective_report
+
+    def theorem_report(p, theorem):
+        report = real_theorem(p, theorem)
+        if (str(theorem), p.parts, p.n) in FAILING_BOX:
+            report = dict(report, verdict="fail")
+        return report
+
+    def projective_report(b):
+        report = real_projective(b)
+        if (b.lam.parts, b.k) in FAILING_FAMILY:
+            report = dict(report, theorem="fail")
+        return report
+
+    monkeypatch.setattr(sweep_mod, "theorem_report", theorem_report)
+    monkeypatch.setattr(sweep_mod, "projective_report", projective_report)
+
+
+class TestFailingSweep:
+    """A sweep whose checks fail on chosen cases reports exactly those."""
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_report_names_first_failure(self, planted_failures, jobs):
+        report = run_sweep(SweepConfig(
+            max_k=2, max_n=3, theorems=("2", "projective"), jobs=jobs,
+        ))
+        failing = [
+            {"theorem": "2", "alpha": [1, 0], "k": 2, "n": 2, "verdict": "fail"},
+            {"theorem": "2", "alpha": [3], "k": 1, "n": 3, "verdict": "fail"},
+            {"theorem": "projective", "alpha": [2], "lambda": [1], "k": 1,
+             "n": 2, "verdict": "fail"},
+            {"theorem": "projective", "alpha": [3, 3], "lambda": [2, 1], "k": 2,
+             "n": 3, "verdict": "fail"},
+        ]
+        assert report.verdict == "fail"
+        assert report.counts == {
+            "2": sum(math.comb(n + k, k) for n in (1, 2, 3) for k in (1, 2)),
+            "projective": 2 + 4,
+        }
+        assert [c for c in report.cases if c["verdict"] == "fail"] == failing
+        assert report.first_counterexample == failing[0]
+        data = report.to_json()
+        assert data["verdict"] == "fail"
+        assert data["firstCounterexample"] == failing[0]
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_cli_exits_one(self, planted_failures, capsys, jobs):
+        code = cli.main(["sweep", "--max-k", "2", "--max-n", "2",
+                         "--jobs", str(jobs)])
+        out, _ = capsys.readouterr()
+        assert code == 1
+        assert out == (
+            "checked 42 cases: fail\n"
+            '{"alpha": [1, 0], "k": 2, "n": 2, "theorem": "2", "verdict": "fail"}\n'
+        )
 
 
 class TestWorkerCount:
