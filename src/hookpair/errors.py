@@ -69,10 +69,6 @@ class NoShiftRow(HookpairError, ValueError):
     """No row of the strip lies above the diagonal for this arm index."""
 
 
-class CaseMismatch(HookpairError, ValueError):
-    """A sweep case's alpha differs from the one its lambda determines."""
-
-
 class CounterexampleFound(HookpairError, AssertionError):
     """A verified identity failed; carries the offending case.
 

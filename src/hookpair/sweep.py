@@ -19,7 +19,6 @@ from typing import Iterator
 
 from .bijections import theorem_report
 from .diagrams import Partition
-from .errors import CaseMismatch
 from .projective import ClassBPartition, StrictPartition, alpha_from_strict, projective_report
 
 __all__ = [
@@ -101,34 +100,24 @@ def _enumerate_cases(cfg: SweepConfig) -> list[tuple]:
     if "projective" in cfg.theorems:
         for k in range(1, cfg.max_k + 1):
             for b in enumerate_class_B(k):
-                cases.append(("projective", b.alpha.parts, b.lam.parts, k))
+                cases.append(("projective", b.lam.parts, k))
     return cases
 
 
-def _case_verdict(case: tuple) -> bool:
+def _case_entry(case: tuple) -> dict:
+    """Check one case and return its report entry, verdict included."""
     if case[0] == "box":
         _, t, parts, k, n = case
-        report = theorem_report(Partition(parts, k, n), int(t))
-        return report["verdict"] == "pass"
-    _, alpha_parts, lam_parts, k = case
-    b = alpha_from_strict(StrictPartition(lam_parts, k))
-    if b.alpha.parts != alpha_parts:
-        raise CaseMismatch(
-            f"case alpha {alpha_parts} differs from {b.alpha.parts}, "
-            f"the alpha of lambda {lam_parts}"
-        )
-    return projective_report(b)["theorem"] == "pass"
-
-
-def _case_json(case: tuple, ok: bool) -> dict:
-    verdict = "pass" if ok else "fail"
-    if case[0] == "box":
-        _, t, parts, k, n = case
-        return {"theorem": t, "alpha": list(parts), "k": k, "n": n,
-                "verdict": verdict}
-    _, alpha_parts, lam_parts, k = case
-    return {"theorem": "projective", "alpha": list(alpha_parts),
-            "lambda": list(lam_parts), "k": k, "n": k + 1, "verdict": verdict}
+        ok = theorem_report(Partition(parts, k, n), int(t))["verdict"] == "pass"
+        entry = {"theorem": t, "alpha": list(parts), "k": k, "n": n}
+    else:
+        _, lam_parts, k = case
+        b = alpha_from_strict(StrictPartition(lam_parts, k))
+        ok = projective_report(b)["theorem"] == "pass"
+        entry = {"theorem": "projective", "alpha": list(b.alpha.parts),
+                 "lambda": list(lam_parts), "k": k, "n": b.n}
+    entry["verdict"] = "pass" if ok else "fail"
+    return entry
 
 
 @dataclass(frozen=True)
@@ -176,11 +165,10 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     workers = _worker_count(cfg.jobs, len(cases))
     if workers > 1:
         with Pool(workers) as pool:
-            verdicts = pool.map(_case_verdict, cases, chunksize=16)
+            entries = pool.map(_case_entry, cases, chunksize=16)
     else:
-        verdicts = [_case_verdict(c) for c in cases]
+        entries = [_case_entry(c) for c in cases]
 
-    entries = tuple(_case_json(c, ok) for c, ok in zip(cases, verdicts))
     counts: dict[str, int] = {}
     first = None
     for entry in entries:
@@ -189,7 +177,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             first = entry
     report = SweepReport(
         config=cfg,
-        cases=entries,
+        cases=tuple(entries),
         counts=counts,
         first_counterexample=first,
         duration=time.monotonic() - started,

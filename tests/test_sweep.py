@@ -8,7 +8,6 @@ import pytest
 
 import hookpair.cli as cli
 import hookpair.sweep as sweep_mod
-from hookpair.errors import CaseMismatch
 from hookpair.projective import is_class_B
 from hookpair.sweep import (
     SweepConfig,
@@ -240,9 +239,14 @@ class TestWorkerCount:
         assert sweep_mod._worker_count(jobs, cases) == expected
 
 
-class TestCaseVerdict:
-    def test_projective_alpha_must_match_lambda(self):
+class TestCaseEntry:
+    def test_box_entry(self):
+        entry = sweep_mod._case_entry(("box", "3", (2, 1), 2, 3))
+        assert entry == {"theorem": "3", "alpha": [2, 1], "k": 2, "n": 3,
+                         "verdict": "pass"}
+
+    def test_projective_entry(self):
         # lambda (2,) with k=2 gives alpha (3, 1)
-        assert sweep_mod._case_verdict(("projective", (3, 1), (2,), 2)) is True
-        with pytest.raises(CaseMismatch):
-            sweep_mod._case_verdict(("projective", (3, 0), (2,), 2))
+        entry = sweep_mod._case_entry(("projective", (2,), 2))
+        assert entry == {"theorem": "projective", "alpha": [3, 1],
+                         "lambda": [2], "k": 2, "n": 3, "verdict": "pass"}
