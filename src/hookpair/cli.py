@@ -87,11 +87,7 @@ def _cmd_show(args) -> int:
     if args.dots is not None:
         if args.dots < 1:
             raise ValueError(f"--dots must be at least 1, got {args.dots}")
-        marks = []
-        for r in g.occupied_rows():
-            cols = g.row_cols(r)
-            if len(cols) >= args.dots:
-                marks.append((r, cols[-args.dots]))
+        marks = [x for x in g if g.arm(x) == args.dots - 1]
     print(render_ascii(g, diag, marks))
     return 0
 

@@ -90,6 +90,11 @@ class Partition:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
 
 
+def _require_cut(p: Partition, i: int) -> None:
+    if not 1 <= i <= p.n:
+        raise IndexOutOfRange(f"cut parameter i={i} not in 1..{p.n}")
+
+
 def _verify_command(p: Partition, theorem: str) -> str:
     """The ``hookpair verify`` command line that rechecks one identity on p."""
     alpha = ",".join(str(a) for a in p.parts)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Cell, Partition, _region_rows
+from .diagrams import Cell, Partition, _region_rows, _require_cut
 from .errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
 
 __all__ = [
@@ -95,11 +95,6 @@ class DyckPath:
             tops.append(("U" if d == 1 else "D").ljust(len(name)))
             bottoms.append(name)
         return " ".join(tops).rstrip() + "\n" + " ".join(bottoms)
-
-
-def _require_cut(p: Partition, i: int) -> None:
-    if not 1 <= i <= p.n:
-        raise IndexOutOfRange(f"cut parameter i={i} not in 1..{p.n}")
 
 
 def label_cells(p: Partition, i: int) -> tuple[list[Label], list[Label]]:

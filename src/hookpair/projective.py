@@ -26,6 +26,7 @@ from .diagrams import (
     CellSet,
     Partition,
     _region_rows,
+    _require_cut,
     _rising_leg,
     _verify_command,
     build_region,
@@ -200,13 +201,6 @@ def _shift_row(b: ClassBPartition, i: int) -> int | None:
     return None
 
 
-def _cut_shift_row(b: ClassBPartition, i: int) -> int | None:
-    """The shift row of cut i, after checking that the cut exists."""
-    if not 1 <= i <= b.n:
-        raise IndexOutOfRange(f"cut parameter i={i} not in 1..{b.n}")
-    return _shift_row(b, i)
-
-
 def _shifted_rows(
     strip: list[tuple[int, int]], u: int, a1: int
 ) -> list[tuple[int, int]]:
@@ -222,7 +216,8 @@ def shift_Ti(b: ClassBPartition, i: int) -> tuple[CellSet, int | None]:
     keep their position.  When no arm-(i-1) cell lies above the diagonal the
     strip is returned unchanged with u = None.
     """
-    u = _cut_shift_row(b, i)
+    _require_cut(b.alpha, i)
+    u = _shift_row(b, i)
     rows = _region_rows(b.alpha, "T")
     if u is not None:
         rows = _shifted_rows(rows, u, b.alpha.part(1))
@@ -235,6 +230,7 @@ def check_prop_techprop(b: ClassBPartition, i: int) -> dict:
     Index 0 of alpha is treated as infinity, which makes the clauses that
     would mention it vacuously true (they only arise when u = 1 or u = i).
     """
+    _require_cut(b.alpha, i)
     u = _shift_row(b, i)
     if u is None:
         raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
@@ -377,7 +373,8 @@ def _strip_and_diagram(alpha: Partition) -> tuple:
 
 def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
     """Compute the decomposition and insist every equality holds."""
-    u = _cut_shift_row(b, i)
+    _require_cut(b.alpha, i)
+    u = _shift_row(b, i)
     if u is None:
         raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
     dec = _compute_decomposition(b, i, u, *_strip_and_diagram(b.alpha))
@@ -481,6 +478,28 @@ def projective_report(b: ClassBPartition) -> dict:
     return _projective_pass(b)[0]
 
 
+def _failure_detail(
+    b: ClassBPartition, report: dict, lhs: Counter, rhs: Counter
+) -> dict:
+    """What failed first: a multiset difference, else the failing checks of
+    the first failing cut, else the cell comparison of the diagonal parts."""
+    detail = first_multiset_difference(lhs, rhs)
+    if detail is not None:
+        return detail
+    for row in report["perI"]:
+        failed = []
+        if row["mChecks"] == "fail":
+            dec = _compute_decomposition(
+                b, row["i"], row["u"], *_strip_and_diagram(b.alpha)
+            )
+            failed = sorted(name for name, ok in dec.checks.items() if not ok)
+        if row["techprop"] is not None and not all(row["techprop"]):
+            failed.append("techprop")
+        if failed:
+            return {"i": row["i"], "failed": failed}
+    return {"sameCells": False}
+
+
 def verify_projective(b: ClassBPartition) -> dict:
     """Like projective_report but raises CounterexampleFound on failure."""
     report, lhs, rhs = _projective_pass(b)
@@ -492,6 +511,7 @@ def verify_projective(b: ClassBPartition) -> dict:
                 "k": b.k,
                 "repro": _verify_command(b.alpha, "proj"),
             },
-            detail=first_multiset_difference(lhs, rhs),
+            detail=_failure_detail(b, report, lhs, rhs),
         )
     return report
+

@@ -185,6 +185,27 @@ class TestShow:
         assert code == 0
         assert out == "  □ ◉\n□ ◉\n"
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # the bottom row of D holds one cell, fewer than I = 2
+            (["--k", "3", "--n", "3", "--alpha", "3,2,1", "--region", "D",
+              "--dots", "2"], "□ ◉ □\n◉ □\n□\n"),
+            # the top row of SQ holds two cells, fewer than I = 3
+            (["--k", "3", "--n", "4", "--alpha", "3,2,0", "--region", "SQ",
+              "--dots", "3"],
+             "          □ □\n        ◉ □ □\n      □ ◉ □ □\n  □ ◉ □ □\n□ ◉ □ □\n"),
+            # no row of SQ holds four cells
+            (["--k", "2", "--n", "3", "--alpha", "2,1", "--region", "SQ",
+              "--dots", "4"], "        □\n      □ □\n  □ □ □\n□ □ □\n"),
+        ],
+        ids=["D-short-row", "SQ-short-row", "SQ-no-row"],
+    )
+    def test_dots_skip_short_rows_golden(self, capsys, argv, expected):
+        code, out, _ = run_cli("show", *argv, capsys=capsys)
+        assert code == 0
+        assert out == expected
+
     def test_dots_must_be_positive(self, capsys):
         code, _, err = run_cli(
             "show", "--k", "1", "--n", "1", "--alpha", "1",

@@ -259,6 +259,23 @@ class TestTechprop:
             check_prop_techprop(b, 1)
 
 
+class TestCutRange:
+    """Every per-cut function rejects a cut outside 1..n the same way."""
+
+    @pytest.mark.parametrize(
+        "function", [check_prop_techprop, shift_Ti, m_decomposition],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize(
+        "lam, k", [((), 1), ((), 2), ((1,), 2), ((4, 2), 5), ((3, 1), 3)],
+    )
+    def test_cut_outside_range_rejected(self, function, lam, k):
+        b = alpha_from_strict(StrictPartition(lam, k))
+        for i in (-1, 0, b.n + 1):
+            with pytest.raises(IndexOutOfRange, match=f"cut parameter i={i} "):
+                function(b, i)
+
+
 class TestRowIntervals:
     """The row-interval shapes behind the projective checks, against scans
     of the cells."""
@@ -425,6 +442,45 @@ class TestProjectiveIdentity:
             verify_projective(SMALL)
         assert exc.value.detail == {"key": (-1, -1), "left": 1, "right": 0}
         assert sorted(shapes) == [SMALL.k, SMALL.k, 2 * SMALL.k]
+
+    def test_failure_names_first_failing_cut(self, monkeypatch):
+        import hookpair.projective as pj
+
+        # the multisets still agree; cuts 1 and 2 fail their range checks
+        monkeypatch.setattr(pj, "_shifted_rows", lambda strip, u, a1: list(strip))
+        with pytest.raises(CounterexampleFound) as exc:
+            verify_projective(SMALL)
+        assert exc.value.detail == {
+            "i": 1, "failed": ["m12_range", "m21_range", "m22_range"],
+        }
+        with pytest.raises(CounterexampleFound) as dec:
+            m_decomposition(SMALL, 1)
+        assert dec.value.detail["failed"] == exc.value.detail["failed"]
+
+    def test_failure_names_failing_techprop_clause(self, monkeypatch):
+        import hookpair.projective as pj
+
+        original = pj.check_prop_techprop
+
+        def clause_fails_at_cut_4(b, i):
+            tech = original(b, i)
+            if i == 4:
+                tech = dict(tech, parts=(True, False, True, True), all=False)
+            return tech
+
+        monkeypatch.setattr(pj, "check_prop_techprop", clause_fails_at_cut_4)
+        with pytest.raises(CounterexampleFound) as exc:
+            verify_projective(SMALL)
+        assert exc.value.detail == {"i": 4, "failed": ["techprop"]}
+
+    def test_failure_names_cell_comparison_last(self, monkeypatch):
+        import hookpair.projective as pj
+
+        # distinct objects, so the diagonal parts of SQ and T never compare equal
+        monkeypatch.setattr(pj, "_occupied", lambda rows: [id(rows)])
+        with pytest.raises(CounterexampleFound) as exc:
+            verify_projective(SMALL)
+        assert exc.value.detail == {"sameCells": False}
 
     def test_failure_carries_repro_command(self, monkeypatch, capsys):
         import hookpair.projective as pj

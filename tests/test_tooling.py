@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -48,6 +49,24 @@ def test_private_helpers_have_callers():
                 named.add(node.name)
     assert defined
     assert sorted(defined - named) == []
+
+
+def test_package_exports_every_public_name():
+    # a name in a module's __all__ is reachable as the same object from hookpair
+    modules = [
+        importlib.import_module(f"hookpair.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    listed = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert listed
+    missing = [
+        f"{m.__name__}.{name}"
+        for m, name in listed
+        if name not in hookpair.__all__
+        or getattr(hookpair, name, None) is not getattr(m, name)
+    ]
+    assert missing == []
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
