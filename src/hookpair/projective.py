@@ -194,7 +194,9 @@ def split_pq(g: CellSet, kind: str, b: ClassBPartition) -> tuple[CellSet, CellSe
 
 
 def _shift_row(b: ClassBPartition, i: int) -> int | None:
-    """Smallest row whose arm-(i-1) cell sits above the strip diagonal."""
+    """Smallest row whose arm-(i-1) cell sits above the strip diagonal,
+    after checking that the cut i exists."""
+    _require_cut(b.alpha, i)
     for a in range(1, b.k + 1):
         if a - b.alpha.part(a) >= i:
             return a
@@ -216,7 +218,6 @@ def shift_Ti(b: ClassBPartition, i: int) -> tuple[CellSet, int | None]:
     keep their position.  When no arm-(i-1) cell lies above the diagonal the
     strip is returned unchanged with u = None.
     """
-    _require_cut(b.alpha, i)
     u = _shift_row(b, i)
     rows = _region_rows(b.alpha, "T")
     if u is not None:
@@ -230,7 +231,6 @@ def check_prop_techprop(b: ClassBPartition, i: int) -> dict:
     Index 0 of alpha is treated as infinity, which makes the clauses that
     would mention it vacuously true (they only arise when u = 1 or u = i).
     """
-    _require_cut(b.alpha, i)
     u = _shift_row(b, i)
     if u is None:
         raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
@@ -373,7 +373,6 @@ def _strip_and_diagram(alpha: Partition) -> tuple:
 
 def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
     """Compute the decomposition and insist every equality holds."""
-    _require_cut(b.alpha, i)
     u = _shift_row(b, i)
     if u is None:
         raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")

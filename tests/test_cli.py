@@ -194,7 +194,8 @@ class TestShow:
             # the top row of SQ holds two cells, fewer than I = 3
             (["--k", "3", "--n", "4", "--alpha", "3,2,0", "--region", "SQ",
               "--dots", "3"],
-             "          □ □\n        ◉ □ □\n      □ ◉ □ □\n  □ ◉ □ □\n□ ◉ □ □\n"),
+             "          □ □\n        ◉ □ □\n"
+             "      □ ◉ □ □\n  □ ◉ □ □\n□ ◉ □ □\n"),
             # no row of SQ holds four cells
             (["--k", "2", "--n", "3", "--alpha", "2,1", "--region", "SQ",
               "--dots", "4"], "        □\n      □ □\n  □ □ □\n□ □ □\n"),

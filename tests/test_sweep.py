@@ -145,7 +145,6 @@ class TestRunSweep:
         assert [c["lambda"] for c in projective_rows] == [[], [1]]
 
 
-# Patched checks reach pool workers only when the workers are forked.
 JOBS = [
     1,
     pytest.param(2, marks=pytest.mark.skipif(
