@@ -1,153 +1,24 @@
 """Exact arm/leg statistics on skew diagram regions, with certified
 statistic-preserving bijections and exhaustive identity checks."""
 
-from .bijections import (
-    BijectionCertificate,
-    CellMap,
-    CertRecord,
-    MapEntry,
-    build_certificate,
-    phi_map,
-    psi_map,
-    rot_T,
-    theorem_report,
-    verify_theorem,
-    zeta_map,
-)
-from .diagrams import (
-    REGION_KINDS,
-    CellSet,
-    Partition,
-    al_multiset,
-    arm_prefix,
-    arm_slice,
-    build_region,
-    conjugate,
-    first_multiset_difference,
-    hook_multiset,
-)
-from .dyck import (
-    DyckPath,
-    Label,
-    SigmaSequence,
-    build_dyck,
-    build_sigma,
-    label_cells,
-    pair_updown,
-    pairing_tuple,
-)
-from .errors import (
-    CellNotInSet,
-    CellNotInT,
-    CounterexampleFound,
-    EmptyField,
-    EmptySet,
-    HookpairError,
-    IndexOutOfRange,
-    KindWithoutDiagonal,
-    NoMatchingDownStep,
-    NoShiftRow,
-    NotADyckPath,
-    NotASubset,
-    NotAnInteger,
-    NotRising,
-    NotWeaklyDecreasing,
-    PartExceedsN,
-    WrongLength,
-    WrongN,
-)
-from .projective import (
-    ClassBPartition,
-    DiagonalSpec,
-    MDecomposition,
-    StrictPartition,
-    alpha_from_strict,
-    check_prop_techprop,
-    diagonal_spec,
-    is_class_B,
-    m_decomposition,
-    projective_report,
-    shift_Ti,
-    split_pq,
-    verify_projective,
-)
-from .render import render_ascii
-from .sweep import (
-    SweepConfig,
-    SweepReport,
-    enumerate_class_B,
-    enumerate_partitions,
-    run_sweep,
-)
+from . import bijections, diagrams, dyck, errors, projective, render, sweep
+from .bijections import *
+from .diagrams import *
+from .dyck import *
+from .errors import *
+from .projective import *
+from .render import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "REGION_KINDS",
-    "Partition",
-    "CellSet",
-    "conjugate",
-    "build_region",
-    "al_multiset",
-    "hook_multiset",
-    "arm_slice",
-    "arm_prefix",
-    "first_multiset_difference",
-    "Label",
-    "SigmaSequence",
-    "DyckPath",
-    "label_cells",
-    "build_sigma",
-    "build_dyck",
-    "pair_updown",
-    "pairing_tuple",
-    "MapEntry",
-    "CellMap",
-    "CertRecord",
-    "BijectionCertificate",
-    "rot_T",
-    "phi_map",
-    "zeta_map",
-    "psi_map",
-    "build_certificate",
-    "theorem_report",
-    "verify_theorem",
-    "StrictPartition",
-    "ClassBPartition",
-    "DiagonalSpec",
-    "MDecomposition",
-    "alpha_from_strict",
-    "is_class_B",
-    "diagonal_spec",
-    "split_pq",
-    "shift_Ti",
-    "check_prop_techprop",
-    "m_decomposition",
-    "projective_report",
-    "verify_projective",
-    "render_ascii",
-    "SweepConfig",
-    "SweepReport",
-    "enumerate_partitions",
-    "enumerate_class_B",
-    "run_sweep",
-    "HookpairError",
-    "NotWeaklyDecreasing",
-    "PartExceedsN",
-    "WrongLength",
-    "WrongN",
-    "NotAnInteger",
-    "EmptyField",
-    "EmptySet",
-    "NotASubset",
-    "NotRising",
-    "IndexOutOfRange",
-    "NotADyckPath",
-    "NoMatchingDownStep",
-    "KindWithoutDiagonal",
-    "NoShiftRow",
-    "CellNotInSet",
-    "CellNotInT",
-    "CounterexampleFound",
+    *diagrams.__all__,
+    *dyck.__all__,
+    *bijections.__all__,
+    *projective.__all__,
+    *render.__all__,
+    *sweep.__all__,
+    *errors.__all__,
 ]

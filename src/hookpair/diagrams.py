@@ -26,6 +26,19 @@ from .errors import (
     WrongLength,
 )
 
+__all__ = [
+    "REGION_KINDS",
+    "Partition",
+    "CellSet",
+    "conjugate",
+    "build_region",
+    "al_multiset",
+    "hook_multiset",
+    "arm_slice",
+    "arm_prefix",
+    "first_multiset_difference",
+]
+
 Cell = tuple[int, int]
 
 # {(r, c): (arm, leg)} over the cells of a region, in row-major order

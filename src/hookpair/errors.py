@@ -1,5 +1,26 @@
 """Exception types named after the invariant they report."""
 
+__all__ = [
+    "HookpairError",
+    "NotWeaklyDecreasing",
+    "PartExceedsN",
+    "WrongLength",
+    "WrongN",
+    "NotAnInteger",
+    "EmptyField",
+    "EmptySet",
+    "NotASubset",
+    "NotRising",
+    "IndexOutOfRange",
+    "NotADyckPath",
+    "NoMatchingDownStep",
+    "KindWithoutDiagonal",
+    "NoShiftRow",
+    "CellNotInSet",
+    "CellNotInT",
+    "CounterexampleFound",
+]
+
 
 class HookpairError(Exception):
     """Base class for all package errors."""

@@ -13,6 +13,8 @@ from typing import Iterable, Optional
 from .diagrams import Cell, CellSet
 from .errors import EmptySet
 
+__all__ = ["render_ascii"]
+
 FILLED = "■"
 HOLLOW = "□"
 DOTTED = "◉"

@@ -69,6 +69,19 @@ def test_package_exports_every_public_name():
     assert missing == []
 
 
+def test_package_namespace_is_the_module_lists():
+    # each module's __all__ is the only list of its public names
+    modules = [
+        importlib.import_module(f"hookpair.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in ("__init__", "cli")
+    ]
+    assert sorted(m.__name__ for m in modules if not hasattr(m, "__all__")) == []
+    assert len(hookpair.__all__) == len(set(hookpair.__all__))
+    listed = {name for m in modules for name in m.__all__}
+    assert set(hookpair.__all__) == {"__version__"} | listed
+
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
