@@ -225,26 +225,32 @@ def shift_Ti(b: ClassBPartition, i: int) -> tuple[CellSet, int | None]:
     return CellSet.from_row_intervals(dict(enumerate(rows, 1))), u
 
 
-def check_prop_techprop(b: ClassBPartition, i: int) -> dict:
-    """Evaluate the four inequality pairs tied to the shift row.
+def _techprop(b: ClassBPartition, i: int, u: int) -> tuple[bool, ...]:
+    """The four inequality pairs at cut i with shift row u.
 
     Index 0 of alpha is treated as infinity, which makes the clauses that
     would mention it vacuously true (they only arise when u = 1 or u = i).
     """
-    u = _shift_row(b, i)
-    if u is None:
-        raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
 
     def part(j: int) -> float:
         return math.inf if j == 0 else b.alpha.part(j)
 
-    parts = (
+    clauses = (
         u - part(u) > i - 1 and u - 1 - part(u - 1) <= i - 1,
         u > b.m,
         part(u - i) >= u and part(u - i + 1) <= u,
         part(u) + i <= part(u - i) and part(u - 1) + i >= part(u - i + 1),
     )
-    return {"u": u, "parts": tuple(bool(x) for x in parts), "all": all(parts)}
+    return tuple(bool(x) for x in clauses)
+
+
+def check_prop_techprop(b: ClassBPartition, i: int) -> dict:
+    """Evaluate the four inequality pairs tied to the shift row."""
+    u = _shift_row(b, i)
+    if u is None:
+        raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
+    clauses = _techprop(b, i, u)
+    return {"u": u, "parts": clauses, "all": all(clauses)}
 
 
 @dataclass(frozen=True)
@@ -414,8 +420,10 @@ def _al_multiset(
     return out
 
 
-def _projective_pass(b: ClassBPartition) -> tuple[dict, Counter, Counter]:
-    """The report of ``projective_report`` with the two sides of the identity."""
+def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
+    """The report of ``projective_report`` and, when it fails, what failed
+    first: a multiset difference, else the failing checks of the first
+    failing cut, else the cell comparison of the diagonal parts."""
     alpha = b.alpha
     sq = _region_rows(alpha, "SQ")
     rect = _region_rows(alpha, "R")
@@ -431,7 +439,7 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, Counter, Counter]:
     identity = lhs == rhs
 
     per_i = []
-    all_sub = True
+    cuts = []
     for i in range(1, b.k + 2):
         u = _shift_row(b, i)
         if u is None:
@@ -440,20 +448,20 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, Counter, Counter]:
                  "mChecks": "skipped"}
             )
             continue
-        tech = check_prop_techprop(b, i)
+        clauses = _techprop(b, i, u)
         dec = _compute_decomposition(b, i, u, strip, strip_leg, dgm, dgm_leg)
-        ok = tech["all"] and dec.passed
-        all_sub = all_sub and ok
+        cuts.append((i, clauses, dec))
         per_i.append(
             {
                 "i": i,
                 "u": u,
                 "s": dec.s,
-                "techprop": list(tech["parts"]),
+                "techprop": list(clauses),
                 "mChecks": "pass" if dec.passed else "fail",
             }
         )
 
+    all_sub = all(all(clauses) and dec.passed for _, clauses, dec in cuts)
     verdict = identity and same_cells and all_sub
     report = {
         "alpha": list(alpha.parts),
@@ -462,7 +470,18 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, Counter, Counter]:
         "theorem": "pass" if verdict else "fail",
         "perI": per_i,
     }
-    return report, lhs, rhs
+    if verdict:
+        return report, None
+    detail = first_multiset_difference(lhs, rhs)
+    if detail is not None:
+        return report, detail
+    for i, clauses, dec in cuts:
+        failed = sorted(name for name, ok in dec.checks.items() if not ok)
+        if not all(clauses):
+            failed.append("techprop")
+        if failed:
+            return report, {"i": i, "failed": failed}
+    return report, {"sameCells": False}
 
 
 def projective_report(b: ClassBPartition) -> dict:
@@ -477,32 +496,10 @@ def projective_report(b: ClassBPartition) -> dict:
     return _projective_pass(b)[0]
 
 
-def _failure_detail(
-    b: ClassBPartition, report: dict, lhs: Counter, rhs: Counter
-) -> dict:
-    """What failed first: a multiset difference, else the failing checks of
-    the first failing cut, else the cell comparison of the diagonal parts."""
-    detail = first_multiset_difference(lhs, rhs)
-    if detail is not None:
-        return detail
-    for row in report["perI"]:
-        failed = []
-        if row["mChecks"] == "fail":
-            dec = _compute_decomposition(
-                b, row["i"], row["u"], *_strip_and_diagram(b.alpha)
-            )
-            failed = sorted(name for name, ok in dec.checks.items() if not ok)
-        if row["techprop"] is not None and not all(row["techprop"]):
-            failed.append("techprop")
-        if failed:
-            return {"i": row["i"], "failed": failed}
-    return {"sameCells": False}
-
-
 def verify_projective(b: ClassBPartition) -> dict:
     """Like projective_report but raises CounterexampleFound on failure."""
-    report, lhs, rhs = _projective_pass(b)
-    if report["theorem"] != "pass":
+    report, detail = _projective_pass(b)
+    if detail is not None:
         raise CounterexampleFound(
             f"diagonal identity fails for alpha={b.alpha}",
             case={
@@ -510,7 +507,7 @@ def verify_projective(b: ClassBPartition) -> dict:
                 "k": b.k,
                 "repro": _verify_command(b.alpha, "proj"),
             },
-            detail=_failure_detail(b, report, lhs, rhs),
+            detail=detail,
         )
     return report
 

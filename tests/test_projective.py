@@ -460,15 +460,13 @@ class TestProjectiveIdentity:
     def test_failure_names_failing_techprop_clause(self, monkeypatch):
         import hookpair.projective as pj
 
-        original = pj.check_prop_techprop
+        original = pj._techprop
 
-        def clause_fails_at_cut_4(b, i):
-            tech = original(b, i)
-            if i == 4:
-                tech = dict(tech, parts=(True, False, True, True), all=False)
-            return tech
+        def clause_fails_at_cut_4(b, i, u):
+            clauses = original(b, i, u)
+            return (True, False, True, True) if i == 4 else clauses
 
-        monkeypatch.setattr(pj, "check_prop_techprop", clause_fails_at_cut_4)
+        monkeypatch.setattr(pj, "_techprop", clause_fails_at_cut_4)
         with pytest.raises(CounterexampleFound) as exc:
             verify_projective(SMALL)
         assert exc.value.detail == {"i": 4, "failed": ["techprop"]}
