@@ -52,16 +52,22 @@ def enumerate_partitions(k: int, n: int) -> Iterator[Partition]:
             parts[t] = 0
 
 
-def enumerate_class_B(k: int) -> Iterator[ClassBPartition]:
-    """All 2**k members of the Frobenius family with bound k.
+def _strict_parts(k: int) -> Iterator[tuple[int, ...]]:
+    """The parts of every subset of {1..k}, in binary-mask order.
 
-    Subsets of {1..k} are taken in binary-mask order, bit b standing for the
-    part b+1, each read off in decreasing order.
+    Bit b stands for the part b+1, and each subset is read off in
+    decreasing order.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     for mask in range(1 << k):
-        parts = tuple(b + 1 for b in range(k - 1, -1, -1) if mask >> b & 1)
+        yield tuple(b + 1 for b in range(k - 1, -1, -1) if mask >> b & 1)
+
+
+def enumerate_class_B(k: int) -> Iterator[ClassBPartition]:
+    """All 2**k members of the Frobenius family with bound k, one for each
+    strict partition in ``_strict_parts`` order."""
+    for parts in _strict_parts(k):
         yield alpha_from_strict(StrictPartition(parts, k))
 
 
@@ -99,8 +105,8 @@ def _enumerate_cases(cfg: SweepConfig) -> list[tuple]:
                         cases.append(("box", t, p.parts, k, n))
     if "projective" in cfg.theorems:
         for k in range(1, cfg.max_k + 1):
-            for b in enumerate_class_B(k):
-                cases.append(("projective", b.lam.parts, k))
+            for lam_parts in _strict_parts(k):
+                cases.append(("projective", lam_parts, k))
     return cases
 
 

@@ -61,6 +61,18 @@ class TestEnumerateFamily:
             back = is_class_B(b.alpha)
             assert back is not None and back.lam.parts == b.lam.parts
 
+    def test_cases_build_no_member(self, monkeypatch):
+        # the worker builds each member; enumerating the cases must not
+        def no_build(lam):
+            raise AssertionError(f"built member {lam} while enumerating")
+
+        monkeypatch.setattr(sweep_mod, "alpha_from_strict", no_build)
+        cases = sweep_mod._enumerate_cases(SweepConfig(max_k=3, max_n=None,
+                                                       theorems=("projective",)))
+        assert cases[:3] == [("projective", (), 1), ("projective", (1,), 1),
+                             ("projective", (), 2)]
+        assert len(cases) == 2 + 4 + 8
+
 
 class TestSweepConfig:
     def test_rejects_bad_bounds(self):
