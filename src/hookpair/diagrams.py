@@ -8,6 +8,7 @@ are exact integers. Multisets are ``collections.Counter`` maps, keyed by
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -85,11 +86,15 @@ class Partition:
         """Parse comma-separated parts, padding omitted trailing zeros to length k.
 
         A blank text means all parts are zero; an empty field such as the
-        middle one of ``"3,,1"`` is an error.
+        middle one of ``"3,,1"`` is an error, and so is a field that is not
+        an optional ``-`` followed by ASCII digits.
         """
         items = [piece.strip() for piece in text.split(",")] if text.strip() else []
         if "" in items:
             raise EmptyField(f"empty field in parts {text!r}")
+        for s in items:
+            if not re.fullmatch(r"-?[0-9]+", s):
+                raise NotAnInteger(f"part {s!r} in {text!r} is not a decimal integer")
         parts = tuple(int(s) for s in items)
         if len(parts) > k:
             raise WrongLength(f"got {len(parts)} parts for k={k}")

@@ -86,6 +86,15 @@ class TestVerify:
         assert out == ""
         assert "error: empty field" in err
 
+    def test_non_decimal_alpha_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            "verify", "--k", "2", "--n", "12", "--alpha", "1_0",
+            "--theorem", "1", capsys=capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_increasing_alpha_is_usage_error(self, capsys):
         code, _, err = run_cli(
             "verify", "--k", "2", "--n", "3", "--alpha", "1,2",

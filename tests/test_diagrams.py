@@ -80,6 +80,18 @@ class TestPartition:
         with pytest.raises(EmptyField):
             Partition.from_text(text, 3, 4)
 
+    @pytest.mark.parametrize("field", ["1_0", "+3", "٣", "１", "1.5", "x"])
+    def test_from_text_rejects_non_decimal_field(self, field):
+        # int() would take the first four as 10, 3, 3 and 1
+        with pytest.raises(NotAnInteger) as exc:
+            Partition.from_text(f"{field},1", 3, 12)
+        assert repr(field) in str(exc.value)
+
+    def test_from_text_strips_and_keeps_sign(self):
+        assert Partition.from_text(" 3 , 1 ", 2, 4).parts == (3, 1)
+        with pytest.raises(NotWeaklyDecreasing):
+            Partition.from_text("3,-1", 2, 4)
+
     @pytest.mark.parametrize("text", ["", "  "])
     def test_from_text_blank_is_all_zero(self, text):
         assert Partition.from_text(text, 3, 4).parts == (0, 0, 0)
