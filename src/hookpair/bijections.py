@@ -27,6 +27,7 @@ from .diagrams import (
     StatTable,
     _region_rows,
     _region_stats,
+    _require_int,
     _verify_command,
     build_region,
     first_multiset_difference,
@@ -193,7 +194,7 @@ def zeta_map(p: Partition, kind: int) -> CellMap:
     single horizontal translation.  Arm/leg entries are recorded in the
     ambient regions (SQ for kind 1, T* for kinds 2 and 3).
     """
-    if kind == 1:
+    if _require_int(kind, "zeta kind") == 1:
         return CellMap("V", _zeta1(p, _region_stats(p, "SQ")))
     if kind not in (2, 3):
         raise ValueError(f"zeta kind must be 1, 2 or 3, got {kind!r}")
@@ -383,7 +384,7 @@ def theorem_report(p: Partition, which: int) -> dict:
     matching bijection certificate (psi for 1 and 2, phi for 3).  Each region
     is measured once, into a stat table that both witnesses read.
     """
-    if which == 3:
+    if _require_int(which, "theorem") == 3:
         source, star = _region_stats(p, "T"), _region_stats(p, "Tstar")
         stat, targets = "al", {"Tstar": (star, star)}
         cmap = CellMap("T", _phi(p, source))

@@ -15,9 +15,9 @@ import os
 import sys
 
 from .bijections import phi_map, psi_map, verify_theorem
-from .diagrams import Partition, build_region
+from .diagrams import Partition, _decimal, _require_int, build_region
 from .dyck import build_dyck, build_sigma, pair_updown
-from .errors import CounterexampleFound, HookpairError
+from .errors import CounterexampleFound, HookpairError, NotAnInteger
 from .projective import diagonal_spec, is_class_B, verify_projective
 from .render import render_ascii
 from .sweep import SweepConfig, run_sweep
@@ -25,9 +25,18 @@ from .sweep import SweepConfig, run_sweep
 SHOW_KINDS = ("D", "R", "T", "V", "SQ", "Tstar")
 
 
+def _integer(text: str) -> int:
+    """The type of every integer option: ``_decimal``, with its message
+    shown after the option's name."""
+    try:
+        return _decimal(text)
+    except NotAnInteger as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_case_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=int, required=True, help="number of parts")
-    sub.add_argument("--n", type=int, required=True, help="bound on the parts")
+    sub.add_argument("--k", type=_integer, required=True, help="number of parts")
+    sub.add_argument("--n", type=_integer, required=True, help="bound on the parts")
     sub.add_argument(
         "--alpha",
         required=True,
@@ -47,7 +56,7 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"alpha={p} is not in the n=k+1 Frobenius family")
         report = verify_projective(b)
     else:
-        report = verify_theorem(p, int(args.theorem))
+        report = verify_theorem(p, _decimal(args.theorem))
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -56,7 +65,7 @@ def _cmd_sweep(args) -> int:
     theorems = ("projective",) if args.projective else ("1", "2", "3")
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("HOOKPAIR_JOBS", "1"))
+        jobs = _decimal(os.environ.get("HOOKPAIR_JOBS", "1"), "HOOKPAIR_JOBS")
     cfg = SweepConfig(
         max_k=args.max_k,
         max_n=args.max_n,
@@ -85,9 +94,8 @@ def _cmd_show(args) -> int:
         diag = diagonal_spec(b, args.region, g)
     marks = None
     if args.dots is not None:
-        if args.dots < 1:
-            raise ValueError(f"--dots must be at least 1, got {args.dots}")
-        marks = [x for x in g if g.arm(x) == args.dots - 1]
+        dots = _require_int(args.dots, "--dots", 1)
+        marks = [x for x in g if g.arm(x) == dots - 1]
     print(render_ascii(g, diag, marks))
     return 0
 
@@ -126,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="check identities over a whole box")
-    p_sweep.add_argument("--max-k", type=int, required=True)
-    p_sweep.add_argument("--max-n", type=int, default=None)
+    p_sweep.add_argument("--max-k", type=_integer, required=True)
+    p_sweep.add_argument("--max-n", type=_integer, default=None)
     p_sweep.add_argument(
         "--projective",
         action="store_true",
         help="sweep the n=k+1 Frobenius family instead of the box",
     )
-    p_sweep.add_argument("--jobs", type=int, default=None)
+    p_sweep.add_argument("--jobs", type=_integer, default=None)
     p_sweep.add_argument("--out", default=None, help="write the JSON report here")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -144,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pq", action="store_true", help="shade the cells on or below the diagonal"
     )
     p_show.add_argument(
-        "--dots", type=int, default=None, metavar="I",
+        "--dots", type=_integer, default=None, metavar="I",
         help="dot the cells with arm length I-1",
     )
     p_show.set_defaults(func=_cmd_show)
@@ -153,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dyck", help="print the label word, the path, and the pairing"
     )
     _add_case_arguments(p_dyck)
-    p_dyck.add_argument("--i", type=int, required=True)
+    p_dyck.add_argument("--i", type=_integer, required=True)
     p_dyck.set_defaults(func=_cmd_dyck)
 
     p_map = sub.add_parser("map", help="dump a bijection as JSON")

@@ -60,24 +60,14 @@ class Partition:
     n: int
 
     def __post_init__(self):
-        parts = tuple(self.parts)
+        parts = tuple(_require_int(a, "part") for a in self.parts)
         object.__setattr__(self, "parts", parts)
-        if type(self.k) is not int or type(self.n) is not int:
-            raise NotAnInteger(f"bounds must be integers, got k={self.k!r}, n={self.n!r}")
-        if self.k < 1 or self.n < 1:
-            raise ValueError("bounds k and n must be positive")
+        _require_int(self.k, "bound k", 1)
+        _require_int(self.n, "bound n", 1)
         if len(parts) != self.k:
             raise WrongLength(f"need exactly {self.k} parts, got {len(parts)}")
-        # one pass: the type check runs before each comparison
-        prev = parts[0]
-        for a in parts:
-            if type(a) is not int:
-                raise NotAnInteger(f"parts must be integers, got {a!r} in {parts}")
-            if a > prev:
-                raise NotWeaklyDecreasing(f"parts must be weakly decreasing: {parts}")
-            prev = a
-        if parts[-1] < 0:
-            raise NotWeaklyDecreasing(f"parts must be non-negative: {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])) or parts[-1] < 0:
+            raise NotWeaklyDecreasing(f"parts must weakly decrease to 0 or more: {parts}")
         if parts[0] > self.n:
             raise PartExceedsN(f"part {parts[0]} exceeds bound n={self.n}")
 
@@ -86,16 +76,13 @@ class Partition:
         """Parse comma-separated parts, padding omitted trailing zeros to length k.
 
         A blank text means all parts are zero; an empty field such as the
-        middle one of ``"3,,1"`` is an error, and so is a field that is not
-        an optional ``-`` followed by ASCII digits.
+        middle one of ``"3,,1"`` is an error, and so is a field that
+        ``_decimal`` rejects.
         """
         items = [piece.strip() for piece in text.split(",")] if text.strip() else []
         if "" in items:
             raise EmptyField(f"empty field in parts {text!r}")
-        for s in items:
-            if not re.fullmatch(r"-?[0-9]+", s):
-                raise NotAnInteger(f"part {s!r} in {text!r} is not a decimal integer")
-        parts = tuple(int(s) for s in items)
+        parts = tuple(_decimal(s, "part") for s in items)
         if len(parts) > k:
             raise WrongLength(f"got {len(parts)} parts for k={k}")
         return cls(parts + (0,) * (k - len(parts)), k, n)
@@ -108,8 +95,29 @@ class Partition:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
 
 
+def _decimal(text: str, what: str = "value") -> int:
+    """The one way outside text becomes an int: after stripping, an optional
+    ``-`` and ASCII digits.  ``int()`` would also take ``+3``, ``1_0`` and
+    non-ASCII digits such as ``١``; here they raise NotAnInteger."""
+    digits = text.strip()
+    if not re.fullmatch(r"-?[0-9]+", digits):
+        raise NotAnInteger(f"{what} {text!r} is not a decimal integer")
+    return int(digits)
+
+
+def _require_int(value, what: str, low: int | None = None) -> int:
+    """The one check of an integer input: an ``int`` that is not a ``bool``
+    (else NotAnInteger) and, when ``low`` is given, at least ``low`` (else
+    IndexOutOfRange).  Returns the value."""
+    if type(value) is not int:
+        raise NotAnInteger(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise IndexOutOfRange(f"{what} must be at least {low}, got {value}")
+    return value
+
+
 def _require_cut(p: Partition, i: int) -> None:
-    if not 1 <= i <= p.n:
+    if not 1 <= _require_int(i, "cut parameter i") <= p.n:
         raise IndexOutOfRange(f"cut parameter i={i} not in 1..{p.n}")
 
 
@@ -139,12 +147,7 @@ class CellSet:
 
     def __init__(self, cells: Iterable[Cell] = ()):
         # checked before hashing, where True and 1.0 would merge with 1
-        pairs = [(r, c) for r, c in cells]
-        for r, c in pairs:
-            if type(r) is not int or type(c) is not int:
-                raise NotAnInteger(f"cell coordinates must be integers: ({r!r}, {c!r})")
-            if r < 1 or c < 1:
-                raise ValueError(f"cell ({r},{c}) outside the positive quadrant")
+        pairs = [(_require_int(r, "row", 1), _require_int(c, "column", 1)) for r, c in cells]
         frozen = frozenset(pairs)
         rows: dict[int, list[int]] = {}
         cols: dict[int, list[int]] = {}
@@ -160,8 +163,7 @@ class CellSet:
         """Build from {row: (col_min, col_max)}; rows with col_min > col_max are skipped."""
         cells = []
         for r, (lo, hi) in intervals.items():
-            if type(lo) is not int or type(hi) is not int:
-                raise NotAnInteger(f"row {r!r} bounds must be integers: {lo!r}..{hi!r}")
+            lo, hi = _require_int(lo, "column bound"), _require_int(hi, "column bound")
             cells.extend((r, c) for c in range(lo, hi + 1))
         return cls(cells)
 
@@ -407,8 +409,7 @@ def hook_multiset(g: CellSet, e: CellSet | Iterable[Cell]) -> Counter:
 
 def arm_slice(g: CellSet, i: int) -> CellSet:
     """Cells whose arm inside ``g`` is exactly i-1: the i-th cell from the right of each row."""
-    if i < 1:
-        raise IndexOutOfRange(f"arm index {i} must be at least 1")
+    _require_int(i, "arm index", 1)
     picked = []
     for r in g.occupied_rows():
         cols = g.row_cols(r)
@@ -420,8 +421,7 @@ def arm_slice(g: CellSet, i: int) -> CellSet:
 
 def arm_prefix(g: CellSet, i: int) -> CellSet:
     """Cells whose arm inside ``g`` is at most i-1: the i rightmost cells of each row."""
-    if i < 1:
-        raise IndexOutOfRange(f"arm index {i} must be at least 1")
+    _require_int(i, "arm index", 1)
     picked = []
     for r in g.occupied_rows():
         cols = g.row_cols(r)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Cell, Partition, _region_rows, _require_cut
+from .diagrams import Cell, Partition, _region_rows, _require_cut, _require_int
 from .errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
 
 __all__ = [
@@ -72,7 +72,7 @@ class DyckPath:
 
     def step_height(self, t: int) -> int:
         """Height of step t (1-based): the ordinate where the step starts."""
-        if not 1 <= t <= len(self.steps):
+        if not 1 <= _require_int(t, "step index") <= len(self.steps):
             raise IndexOutOfRange(f"step index {t} not in 1..{len(self.steps)}")
         return self.ordinates[t - 1]
 

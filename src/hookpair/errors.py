@@ -39,7 +39,8 @@ class WrongLength(HookpairError, ValueError):
 
 
 class NotAnInteger(HookpairError, TypeError):
-    """A part or a bound is not an ``int`` (``bool`` and ``float`` included)."""
+    """An integer input is not an ``int`` (``bool`` and ``float`` included),
+    or its text is not an optional ``-`` and ASCII digits."""
 
 
 class EmptyField(HookpairError, ValueError):
@@ -63,7 +64,7 @@ class NotRising(HookpairError, ValueError):
 
 
 class IndexOutOfRange(HookpairError, ValueError):
-    """Arm index or step index outside its allowed range."""
+    """An index, bound or count outside its allowed range."""
 
 
 class NotADyckPath(HookpairError, ValueError):

@@ -27,6 +27,7 @@ from .diagrams import (
     Partition,
     _region_rows,
     _require_cut,
+    _require_int,
     _rising_leg,
     _verify_command,
     build_region,
@@ -37,7 +38,6 @@ from .errors import (
     IndexOutOfRange,
     KindWithoutDiagonal,
     NoShiftRow,
-    NotAnInteger,
     NotWeaklyDecreasing,
     PartExceedsN,
     WrongN,
@@ -68,28 +68,14 @@ class StrictPartition:
     k: int
 
     def __post_init__(self):
-        parts = tuple(self.parts)
+        parts = tuple(_require_int(a, "part") for a in self.parts)
         object.__setattr__(self, "parts", parts)
-        if type(self.k) is not int:
-            raise NotAnInteger(f"bound k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"bound k must be positive, got {self.k}")
-        # one pass: the type check runs before each comparison
-        prev = None
-        for a in parts:
-            if type(a) is not int:
-                raise NotAnInteger(f"parts must be integers, got {a!r} in {parts}")
-            if prev is not None and prev <= a:
-                raise NotWeaklyDecreasing(
-                    f"parts must strictly decrease, got {prev} before {a}"
-                )
-            prev = a
-        if self.parts and self.parts[-1] < 1:
-            raise ValueError("parts must be positive")
-        if self.parts and self.parts[0] > self.k:
-            raise PartExceedsN(
-                f"largest part {self.parts[0]} exceeds the bound k={self.k}"
-            )
+        _require_int(self.k, "bound k", 1)
+        if any(a <= b for a, b in zip(parts, parts[1:])):
+            raise NotWeaklyDecreasing(f"parts must strictly decrease: {parts}")
+        _require_int(min(parts, default=1), "smallest part", 1)
+        if parts and parts[0] > self.k:
+            raise PartExceedsN(f"largest part {parts[0]} exceeds the bound k={self.k}")
 
     @property
     def m(self) -> int:

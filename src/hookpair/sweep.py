@@ -18,7 +18,7 @@ from multiprocessing import Pool
 from typing import Iterator
 
 from .bijections import theorem_report
-from .diagrams import Partition
+from .diagrams import Partition, _decimal, _require_int
 from .projective import ClassBPartition, StrictPartition, alpha_from_strict, projective_report
 
 __all__ = [
@@ -34,8 +34,8 @@ THEOREM_NAMES = ("1", "2", "3", "projective")
 
 def enumerate_partitions(k: int, n: int) -> Iterator[Partition]:
     """All weakly decreasing k-tuples with entries in 0..n, lexicographically."""
-    if k < 1 or n < 1:
-        raise ValueError(f"need k, n >= 1, got k={k}, n={n}")
+    _require_int(k, "k", 1)
+    _require_int(n, "n", 1)
     parts = [0] * k
     while True:
         yield Partition(tuple(parts), k, n)
@@ -58,8 +58,7 @@ def _strict_parts(k: int) -> Iterator[tuple[int, ...]]:
     Bit b stands for the part b+1, and each subset is read off in
     decreasing order.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
+    _require_int(k, "k", 1)
     for mask in range(1 << k):
         yield tuple(b + 1 for b in range(k - 1, -1, -1) if mask >> b & 1)
 
@@ -80,18 +79,17 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.max_k < 1:
-            raise ValueError(f"max_k must be at least 1, got {self.max_k}")
+        _require_int(self.max_k, "max_k", 1)
+        _require_int(self.jobs, "jobs", 1)
+        if self.max_n is not None:
+            _require_int(self.max_n, "max_n", 1)
         if not self.theorems:
             raise ValueError("at least one identity must be selected")
         for t in self.theorems:
             if t not in THEOREM_NAMES:
                 raise ValueError(f"unknown identity {t!r}")
-        needs_n = any(t != "projective" for t in self.theorems)
-        if needs_n and (self.max_n is None or self.max_n < 1):
-            raise ValueError("max_n must be at least 1 for box sweeps")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.max_n is None and any(t != "projective" for t in self.theorems):
+            raise ValueError("max_n must be given for box sweeps")
 
 
 def _enumerate_cases(cfg: SweepConfig) -> list[tuple]:
@@ -114,7 +112,7 @@ def _case_entry(case: tuple) -> dict:
     """Check one case and return its report entry, verdict included."""
     if case[0] == "box":
         _, t, parts, k, n = case
-        ok = theorem_report(Partition(parts, k, n), int(t))["verdict"] == "pass"
+        ok = theorem_report(Partition(parts, k, n), _decimal(t))["verdict"] == "pass"
         entry = {"theorem": t, "alpha": list(parts), "k": k, "n": n}
     else:
         _, lam_parts, k = case

@@ -27,7 +27,7 @@ from hookpair.diagrams import (
     hook_multiset_to_json,
     multiset_to_json,
 )
-from hookpair.errors import CellNotInSet, CellNotInT, CounterexampleFound
+from hookpair.errors import CellNotInSet, CellNotInT, CounterexampleFound, NotAnInteger
 
 from util import (
     arm_by_scan,
@@ -239,6 +239,12 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta_map(FIG, 4)
 
+    @pytest.mark.parametrize("kind", [True, 1.0, "1"])
+    def test_kind_must_be_int(self, kind):
+        # True == 1, so zeta_map(p, True) used to return zeta 1
+        with pytest.raises(NotAnInteger):
+            zeta_map(FIG, kind)
+
     def test_certificates_pass_sweep(self):
         for p in sweep_partitions(4, 4):
             sq = build_region(p, "SQ")
@@ -449,6 +455,12 @@ class TestTheorems:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             theorem_report(Partition((1,), k=1, n=1), 4)
+
+    @pytest.mark.parametrize("which", [True, 2.0, "2"])
+    def test_theorem_must_be_int(self, which):
+        # True and 2.0 used to run identities 1 and 2 and write them into the JSON
+        with pytest.raises(NotAnInteger):
+            theorem_report(Partition((1,), k=1, n=1), which)
 
     def test_counterexample_raised_on_broken_map(self, monkeypatch):
         import hookpair.bijections as bj

@@ -25,6 +25,18 @@ sys.exit({attr}())
 """
 
 
+# argv with "{}" where each integer option's text goes
+INTEGER_OPTIONS = {
+    "--k": ["verify", "--k", "{}", "--n", "3", "--alpha", "1", "--theorem", "1"],
+    "--n": ["verify", "--k", "1", "--n", "{}", "--alpha", "1", "--theorem", "1"],
+    "--max-k": ["sweep", "--max-k", "{}", "--max-n", "1"],
+    "--max-n": ["sweep", "--max-k", "1", "--max-n", "{}"],
+    "--jobs": ["sweep", "--max-k", "1", "--max-n", "1", "--jobs", "{}"],
+    "--dots": [*SHOW_ARGS, "--dots", "{}"],
+    "--i": ["dyck", "--k", "1", "--n", "3", "--alpha", "1", "--i", "{}"],
+}
+
+
 def run_cli(*argv, capsys=None):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -273,6 +285,50 @@ class TestMap:
             cli.main(["map", "--k", "1", "--n", "1", "--alpha", "1"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestIntegerOptions:
+    """Every integer option and HOOKPAIR_JOBS read text by one rule."""
+
+    @pytest.mark.parametrize("text", ["١", "１", "1_0", "+3"])
+    @pytest.mark.parametrize("option", list(INTEGER_OPTIONS))
+    def test_non_decimal_text_rejected(self, capsys, option, text):
+        # int() read each of these as a number
+        argv = [text if a == "{}" else a for a in INTEGER_OPTIONS[option]]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {option}: value {text!r} is not a decimal integer\n" in err
+
+    @pytest.mark.parametrize("option", list(INTEGER_OPTIONS))
+    def test_decimal_text_accepted(self, capsys, option):
+        argv = ["1" if a == "{}" else a for a in INTEGER_OPTIONS[option]]
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out
+
+    def test_verify_reads_no_other_digits(self, capsys):
+        # int() read k = 1 and n = 12 and printed a passing report
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--k", "١", "--n", "1_2", "--alpha", "3", "--theorem", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", ["1_0", "+2", "٢", "two", ""])
+    def test_jobs_variable_rejected(self, capsys, monkeypatch, text):
+        monkeypatch.setenv("HOOKPAIR_JOBS", text)
+        code, out, err = run_cli("sweep", "--max-k", "1", "--max-n", "1", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: HOOKPAIR_JOBS {text!r} is not a decimal integer\n"
+
+    def test_projective_max_n_checked_when_given(self, capsys):
+        code, out, err = run_cli(
+            "sweep", "--projective", "--max-k", "2", "--max-n", "-3", capsys=capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: max_n must be at least 1, got -3\n"
 
 
 class TestParser:

@@ -7,8 +7,10 @@ from hookpair.diagrams import (
     REGION_KINDS,
     CellSet,
     Partition,
+    _decimal,
     _region_rows,
     _region_stats,
+    _require_int,
     _rising_leg,
     al_multiset,
     arm_prefix,
@@ -126,6 +128,55 @@ class TestPartition:
         for j in range(1, p.n + 1):
             assert q.parts[j - 1] == sum(1 for a in p.parts if a >= j)
         assert conjugate(q) == p
+
+
+class TestIntegerRule:
+    """``_decimal`` reads outside text and ``_require_int`` checks values."""
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("-3", -3), (" 12 ", 12), ("007", 7)])
+    def test_decimal_reads_ascii_digits(self, text, value):
+        assert _decimal(text) == value
+
+    @pytest.mark.parametrize("text", ["+3", "1_0", "١", "１", "", "-", "1.0", "0x1", "1 2"])
+    def test_decimal_rejects_other_text(self, text):
+        with pytest.raises(NotAnInteger, match="is not a decimal integer"):
+            _decimal(text)
+
+    def test_decimal_names_what_it_read(self):
+        with pytest.raises(NotAnInteger, match="^HOOKPAIR_JOBS '1_0' "):
+            _decimal("1_0", "HOOKPAIR_JOBS")
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 2.5, "1", None])
+    def test_require_int_rejects_non_int(self, value):
+        with pytest.raises(NotAnInteger, match="^count must be an integer"):
+            _require_int(value, "count")
+
+    def test_require_int_lower_bound(self):
+        assert _require_int(-5, "count") == -5
+        assert _require_int(1, "count", 1) == 1
+        with pytest.raises(IndexOutOfRange, match="^count must be at least 1, got 0$"):
+            _require_int(0, "count", 1)
+
+    @pytest.mark.parametrize("k, n", [(0, 2), (1, 0), (-1, 3)])
+    def test_non_positive_partition_bounds(self, k, n):
+        # these raised a bare ValueError, which HookpairError handlers missed
+        with pytest.raises(IndexOutOfRange) as exc:
+            Partition((0,) * max(k, 0), k, n)
+        assert isinstance(exc.value, HookpairError)
+
+    def test_arm_index_must_be_int(self):
+        t = build_region(Partition((2, 1), 2, 2), "T")
+        for i in (True, 1.0):
+            with pytest.raises(NotAnInteger):
+                arm_slice(t, i)
+            with pytest.raises(NotAnInteger):
+                arm_prefix(t, i)
+
+    def test_cell_outside_quadrant(self):
+        with pytest.raises(IndexOutOfRange):
+            CellSet([(0, 1)])
+        with pytest.raises(IndexOutOfRange):
+            CellSet.from_row_intervals({1: (0, 2)})
 
 
 class TestCellSet:

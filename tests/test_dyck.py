@@ -15,7 +15,7 @@ from hookpair.dyck import (
     pair_updown,
     pairing_tuple,
 )
-from hookpair.errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
+from hookpair.errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath, NotAnInteger
 
 from util import partitions, sweep_partitions
 
@@ -89,6 +89,12 @@ class TestLabels:
         with pytest.raises(IndexOutOfRange):
             label_cells(p, 3)
 
+    @pytest.mark.parametrize("i", [2.5, 1.0, True])
+    def test_cut_must_be_int(self, i):
+        # a float cut used to give a label word for a cut that does not exist
+        with pytest.raises(NotAnInteger, match="cut parameter i"):
+            build_sigma(Partition((2, 1), k=2, n=3), i)
+
 
 class TestSigma:
     def test_word_for_big_case(self):
@@ -158,6 +164,11 @@ class TestDyckPath:
             d.step_height(0)
         with pytest.raises(IndexOutOfRange):
             d.step_height(5)
+
+    def test_step_index_must_be_int(self):
+        d = build_dyck(build_sigma(Partition((1, 0), k=2, n=1), 1))
+        with pytest.raises(NotAnInteger):
+            d.step_height(1.0)
 
     def test_json_form(self):
         d = build_dyck(build_sigma(Partition((1, 0), k=2, n=1), 1))

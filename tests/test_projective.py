@@ -76,6 +76,12 @@ class TestStrictPartition:
         with pytest.raises(ValueError):
             StrictPartition((2, 0), k=5)
 
+    @pytest.mark.parametrize("parts, k", [((0,), 3), ((2, -1), 3), ((), 0)])
+    def test_non_positive_is_a_typed_error(self, parts, k):
+        # these raised a bare ValueError, which HookpairError handlers missed
+        with pytest.raises(IndexOutOfRange):
+            StrictPartition(parts, k)
+
     @pytest.mark.parametrize(
         "parts, k", [((1.5,), 3), ((3, 1.0), 3), ((True,), 3), ((2,), 3.0)]
     )
@@ -274,6 +280,16 @@ class TestCutRange:
         for i in (-1, 0, b.n + 1):
             with pytest.raises(IndexOutOfRange, match=f"cut parameter i={i} "):
                 function(b, i)
+
+    @pytest.mark.parametrize(
+        "function", [check_prop_techprop, shift_Ti, m_decomposition],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("i", [2.5, 2.0, True], ids=repr)
+    def test_cut_must_be_int(self, function, i):
+        # 2.0 and True used to give results, 2.5 a bare TypeError
+        with pytest.raises(NotAnInteger, match="cut parameter i"):
+            function(SMALL, i)
 
 
 class TestRowIntervals:

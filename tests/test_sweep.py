@@ -8,6 +8,7 @@ import pytest
 
 import hookpair.cli as cli
 import hookpair.sweep as sweep_mod
+from hookpair.errors import IndexOutOfRange, NotAnInteger
 from hookpair.projective import is_class_B
 from hookpair.sweep import (
     SweepConfig,
@@ -42,6 +43,16 @@ class TestEnumeratePartitions:
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError):
             list(enumerate_partitions(0, 2))
+
+    def test_bounds_are_checked_ints(self):
+        with pytest.raises(IndexOutOfRange):
+            list(enumerate_partitions(2, 0))
+        with pytest.raises(NotAnInteger):
+            list(enumerate_partitions(2.0, 2))
+        with pytest.raises(NotAnInteger):
+            list(enumerate_class_B(2.0))
+        with pytest.raises(IndexOutOfRange):
+            list(enumerate_class_B(0))
 
 
 class TestEnumerateFamily:
@@ -93,8 +104,26 @@ class TestSweepConfig:
         cfg = SweepConfig(max_k=3, max_n=None, theorems=("projective",))
         assert cfg.max_n is None
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_k", True), ("max_k", 2.0), ("max_n", 2.0), ("max_n", True), ("jobs", 1.0)],
+    )
+    def test_rejects_non_int(self, field, value):
+        with pytest.raises(NotAnInteger, match=f"^{field} "):
+            SweepConfig(**{"max_k": 2, "max_n": 2, "theorems": ("1",), field: value})
+
+    def test_projective_max_n_checked_when_given(self):
+        # it used to reach the report as "maxN": -3
+        with pytest.raises(IndexOutOfRange):
+            SweepConfig(max_k=2, max_n=-3, theorems=("projective",))
+
 
 class TestRunSweep:
+    def test_fractional_bound_is_a_typed_error(self):
+        # max_n = 1.5 used to get as far as range() and a bare TypeError
+        with pytest.raises(NotAnInteger):
+            run_sweep(SweepConfig(max_k=1, max_n=1.5, theorems=("1",)))
+
     def test_small_box_passes(self):
         report = run_sweep(SweepConfig(max_k=2, max_n=2, theorems=("1", "2", "3")))
         assert report.verdict == "pass"
