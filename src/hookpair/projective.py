@@ -373,7 +373,14 @@ def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
         bad = sorted(name for name, ok in dec.checks.items() if not ok)
         raise CounterexampleFound(
             f"leg decomposition fails for alpha={b.alpha} i={i}: {', '.join(bad)}",
-            case={"alpha": list(b.alpha.parts), "k": b.k, "i": i},
+            case={
+                "alpha": list(b.alpha.parts),
+                "k": b.k,
+                "n": b.n,
+                "theorem": "proj",
+                "i": i,
+                "repro": _verify_command(b.alpha, "proj"),
+            },
             detail={"failed": bad},
         )
     return dec
@@ -491,6 +498,8 @@ def verify_projective(b: ClassBPartition) -> dict:
             case={
                 "alpha": list(b.alpha.parts),
                 "k": b.k,
+                "n": b.n,
+                "theorem": "proj",
                 "repro": _verify_command(b.alpha, "proj"),
             },
             detail=detail,

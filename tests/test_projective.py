@@ -401,6 +401,10 @@ class TestMDecomposition:
         with pytest.raises(CounterexampleFound) as exc:
             m_decomposition(SMALL, 1)
         assert exc.value.detail["failed"]
+        assert exc.value.case == {
+            "alpha": [5, 4, 2, 1, 0], "k": 5, "n": 6, "theorem": "proj", "i": 1,
+            "repro": "hookpair verify --k 5 --n 6 --alpha 5,4,2,1,0 --theorem proj",
+        }
 
 
 class TestProjectiveIdentity:
@@ -513,5 +517,8 @@ class TestProjectiveIdentity:
             verify_projective(SMALL)
         repro = exc.value.case["repro"]
         assert repro == "hookpair verify --k 5 --n 6 --alpha 5,4,2,1,0 --theorem proj"
+        assert exc.value.case == {
+            "alpha": [5, 4, 2, 1, 0], "k": 5, "n": 6, "theorem": "proj", "repro": repro,
+        }
         assert main(shlex.split(repro)[1:]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == f"reproduce: {repro}"
