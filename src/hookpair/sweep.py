@@ -158,8 +158,13 @@ class SweepReport:
 
 
 def _worker_count(jobs: int, n_cases: int) -> int:
-    """Processes a sweep starts: jobs, capped by the CPU and case counts."""
-    return max(1, min(jobs, os.cpu_count() or 1, n_cases))
+    """Processes a sweep starts: jobs, capped by the case count and by the
+    CPUs this process may run on (the host's count where that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus, n_cases))
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:

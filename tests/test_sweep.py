@@ -275,8 +275,17 @@ class TestWorkerCount:
         ],
     )
     def test_capped_by_cpus_and_cases(self, monkeypatch, jobs, cpus, cases, expected):
+        # where the process's CPU set is unknown, the host's count caps the pool
+        monkeypatch.delattr(sweep_mod.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
         assert sweep_mod._worker_count(jobs, cases) == expected
+
+    def test_capped_by_cpus_this_process_may_use(self, monkeypatch):
+        # under taskset or a cpuset the host's count is too high
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert sweep_mod._worker_count(8, 100) == 1
 
 
 class TestCaseEntry:
