@@ -51,6 +51,44 @@ def test_private_helpers_have_callers():
     assert sorted(defined - named) == []
 
 
+def _integer_rule_breaches(tree: ast.AST, owner: str = "<module>") -> list[str]:
+    """Places that read or check an integer without the two rule helpers."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = tree.name
+    found = []
+    if isinstance(tree, ast.Call):
+        if isinstance(tree.func, ast.Name) and tree.func.id == "int" and owner != "_decimal":
+            found.append(f"{owner}:{tree.lineno}: int(...)")
+        if any(kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int"
+               for kw in tree.keywords):
+            found.append(f"{owner}:{tree.lineno}: type=int")
+    if (isinstance(tree, ast.Compare) and owner != "_require_int"
+            and isinstance(tree.left, ast.Call) and isinstance(tree.left.func, ast.Name)
+            and tree.left.func.id == "type"
+            and any(isinstance(c, ast.Name) and c.id == "int" for c in tree.comparators)):
+        found.append(f"{owner}:{tree.lineno}: type(...) vs int")
+    for child in ast.iter_child_nodes(tree):
+        found.extend(_integer_rule_breaches(child, owner))
+    return found
+
+
+def test_one_integer_rule():
+    # text becomes an int only in diagrams._decimal and a value is checked as
+    # an int only in diagrams._require_int
+    found = [
+        f"{path.name}:{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _integer_rule_breaches(
+            ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+    probe = ast.parse(
+        "def f(x):\n    p.add_argument('--k', type=int)\n    return int(x)\n"
+        "def g(x):\n    return type(x) is not int\n"
+    )
+    assert len(_integer_rule_breaches(probe)) == 3
+
+
 def test_package_exports_every_public_name():
     # a name in a module's __all__ is reachable as the same object from hookpair
     modules = [
