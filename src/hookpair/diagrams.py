@@ -60,7 +60,9 @@ class Partition:
     n: int
 
     def __post_init__(self):
-        parts = tuple(_require_int(a, "part") for a in self.parts)
+        parts = tuple(self.parts)
+        for a in parts:
+            _require_int(a, "part")
         object.__setattr__(self, "parts", parts)
         _require_int(self.k, "bound k", 1)
         _require_int(self.n, "bound n", 1)
