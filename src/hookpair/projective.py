@@ -181,14 +181,33 @@ def split_pq(g: CellSet, kind: str, b: ClassBPartition) -> tuple[CellSet, CellSe
     return CellSet(p_cells), CellSet(q_cells)
 
 
+def _cut_rows(alpha: Partition) -> list[tuple[int | None, int]]:
+    """(u, s) of every cut i = 1 .. k+1, from one scan of the parts.
+
+    The shift row u is the smallest row a with a - alpha_a >= i, the row
+    whose arm-(i-1) cell first sits above the strip diagonal (None when
+    there is none); the split index s is the smallest j <= k+1 with
+    alpha_j <= i-1, taking alpha_(k+1) = 0.  a - alpha_a strictly
+    increases, so u never decreases with i, and s never increases.
+    """
+    parts = alpha.parts
+    k = alpha.k
+    u, s = 1, k + 1
+    out = []
+    for i in range(1, k + 2):
+        while u <= k and u - parts[u - 1] < i:
+            u += 1
+        while s > 1 and parts[s - 2] <= i - 1:
+            s -= 1
+        out.append((u if u <= k else None, s))
+    return out
+
+
 def _shift_row(b: ClassBPartition, i: int) -> int | None:
     """Smallest row whose arm-(i-1) cell sits above the strip diagonal,
     after checking that the cut i exists."""
     _require_cut(b.alpha, i)
-    for a in range(1, b.k + 1):
-        if a - b.alpha.part(a) >= i:
-            return a
-    return None
+    return _cut_rows(b.alpha)[i - 1][0]
 
 
 def _shifted_rows(
@@ -266,8 +285,9 @@ class MDecomposition:
         return all(self.checks.values())
 
 
-def _range_multiset(lo: int, hi: int) -> Counter:
-    return Counter(range(lo, hi + 1))
+def _same_legs(a, b) -> bool:
+    """Whether two leg lists hold each leg equally often."""
+    return sorted(a) == sorted(b)
 
 
 def _rotated_rows(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -288,78 +308,81 @@ def _arm_slice(rows: list[tuple[int, int]], i: int) -> list[Cell]:
     return cells
 
 
-def _compute_decomposition(
+def _cut_legs(
     b: ClassBPartition,
-    i: int,
-    u: int,
+    cuts,
     strip: list[tuple[int, int]],
     strip_leg,
     dgm: list[tuple[int, int]],
     dgm_leg,
-) -> MDecomposition:
-    """The decomposition at cut i with shift row u, given the rows of T and
-    D and their ``_rising_leg`` tables."""
-    alpha = b.alpha
-    k = alpha.k
-    a1 = alpha.part(1)
-    s = next(
-        j for j in range(1, k + 2)
-        if (alpha.part(j) if j <= k else 0) <= i - 1
-    )
-    s_eff = min(s, u)
+) -> list[tuple[int, dict[str, list[int]], dict[str, bool]]]:
+    """(s_eff, leg lists, checks) of every cut (i, u, s) in ``cuts``, given
+    the rows of T and D and their ``_rising_leg`` tables.
+
+    Each leg list (m1 .. m23) holds the legs of its arm-(i-1) cells in row
+    order.  The shifted strip, its rotation and their leg tables depend on
+    u alone, so they are built once per distinct u of the call.
+    """
+    k = b.k
+    a1 = b.alpha.part(1)
     diag_t, diag_d = _diagonal_total(b, "T"), _diagonal_total(b, "D")
+    shifted = {}
+    out = []
+    for i, u, s in cuts:
+        if u not in shifted:
+            ti = _shifted_rows(strip, u, a1)
+            star = _rotated_rows(ti)
+            shifted[u] = (ti, _rising_leg(ti), star, _rising_leg(star))
+        ti, ti_leg, star, star_leg = shifted[u]
+        s_eff = min(s, u)
 
-    ti = _shifted_rows(strip, u, a1)
-    ti_leg = _rising_leg(ti)
-    m1, m11, m12 = Counter(), Counter(), Counter()
-    for r, c in _arm_slice(ti, i):
-        leg = ti_leg(r, c)
-        m1[leg] += 1
-        if r + c <= diag_t:
-            m11[leg] += 1
-        else:
-            m12[leg] += 1
+        m1, m11, m12 = [], [], []
+        for r, c in _arm_slice(ti, i):
+            leg = ti_leg(r, c)
+            m1.append(leg)
+            if r + c <= diag_t:
+                m11.append(leg)
+            else:
+                m12.append(leg)
 
-    star = _rotated_rows(ti)
-    star_leg = _rising_leg(star)
-    m2, m21, m22, m23 = Counter(), Counter(), Counter(), Counter()
-    for r, c in _arm_slice(star, i):
-        leg = star_leg(r, c)
-        m2[leg] += 1
-        if c <= k + 1:
-            m21[leg] += 1
-        if c > k + 1 and r + c <= 2 * k + 2:
-            m22[leg] += 1
-        if r + c > 2 * k + 2:
-            m23[leg] += 1
+        m2, m21, m22, m23 = [], [], [], []
+        for r, c in _arm_slice(star, i):
+            leg = star_leg(r, c)
+            m2.append(leg)
+            if c <= k + 1:
+                m21.append(leg)
+            if c > k + 1 and r + c <= 2 * k + 2:
+                m22.append(leg)
+            if r + c > 2 * k + 2:
+                m23.append(leg)
 
-    m3 = Counter(strip_leg(r, c) for r, c in _arm_slice(strip, i) if r + c <= diag_t)
-    # rows of D shorter than i have no arm-(i-1) cell at all
-    m4 = Counter(
-        dgm_leg(r, hi - i + 1)
-        for r, (lo, hi) in enumerate(dgm, 1)
-        if hi - lo + 1 >= i and r + hi - i + 1 > diag_d
-    )
+        m3 = [strip_leg(r, c) for r, c in _arm_slice(strip, i) if r + c <= diag_t]
+        # rows of D shorter than i have no arm-(i-1) cell at all
+        m4 = [
+            dgm_leg(r, hi - i + 1)
+            for r, (lo, hi) in enumerate(dgm, 1)
+            if hi - lo + 1 >= i and r + hi - i + 1 > diag_d
+        ]
 
-    checks = {
-        "m1_vs_m2": m1 == m2,
-        "m11_vs_m3": m11 == m3,
-        "m12_range": m12 == _range_multiset(u - s_eff, k - s_eff),
-        "m21_range": m21 == _range_multiset(0, k - s_eff),
-        "m22_range": m22 == _range_multiset(u - s_eff, i - 2),
-        "m23_vs_m4": m23 == m4,
-        "m3_vs_m4_low_legs": m3 == m4 + _range_multiset(0, i - 2),
-    }
-    return MDecomposition(
-        i=i, u=u, s=s, s_eff=s_eff,
-        m1=m1, m2=m2, m3=m3, m4=m4,
-        m11=m11, m12=m12, m21=m21, m22=m22, m23=m23,
-        checks=checks,
-    )
+        checks = {
+            "m1_vs_m2": _same_legs(m1, m2),
+            "m11_vs_m3": _same_legs(m11, m3),
+            "m12_range": _same_legs(m12, range(u - s_eff, k - s_eff + 1)),
+            "m21_range": _same_legs(m21, range(0, k - s_eff + 1)),
+            "m22_range": _same_legs(m22, range(u - s_eff, i - 1)),
+            "m23_vs_m4": _same_legs(m23, m4),
+            "m3_vs_m4_low_legs": _same_legs(m3, m4 + list(range(0, i - 1))),
+        }
+        legs = {
+            "m1": m1, "m2": m2, "m3": m3, "m4": m4,
+            "m11": m11, "m12": m12, "m21": m21, "m22": m22, "m23": m23,
+        }
+        out.append((s_eff, legs, checks))
+    return out
 
 
 def _strip_and_diagram(alpha: Partition) -> tuple:
-    """Rows of T and D and their leg tables, in ``_compute_decomposition``'s order."""
+    """Rows of T and D and their leg tables, in ``_cut_legs``'s order."""
     strip = _region_rows(alpha, "T")
     dgm = _region_rows(alpha, "D")
     return strip, _rising_leg(strip), dgm, _rising_leg(dgm)
@@ -367,12 +390,13 @@ def _strip_and_diagram(alpha: Partition) -> tuple:
 
 def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
     """Compute the decomposition and insist every equality holds."""
-    u = _shift_row(b, i)
+    _require_cut(b.alpha, i)
+    u, s = _cut_rows(b.alpha)[i - 1]
     if u is None:
         raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
-    dec = _compute_decomposition(b, i, u, *_strip_and_diagram(b.alpha))
-    if not dec.passed:
-        bad = sorted(name for name, ok in dec.checks.items() if not ok)
+    [(s_eff, legs, checks)] = _cut_legs(b, [(i, u, s)], *_strip_and_diagram(b.alpha))
+    bad = sorted(name for name, ok in checks.items() if not ok)
+    if bad:
         raise CounterexampleFound(
             f"leg decomposition fails for alpha={b.alpha} i={i}: {', '.join(bad)}",
             case={
@@ -385,7 +409,8 @@ def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
             },
             detail={"failed": bad},
         )
-    return dec
+    counted = {name: Counter(v) for name, v in legs.items()}
+    return MDecomposition(i=i, u=u, s=s, s_eff=s_eff, **counted, checks=checks)
 
 
 def _on_or_below(rows: list[tuple[int, int]], total: int) -> list[tuple[int, int]]:
@@ -433,30 +458,32 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     rhs = _al_multiset(rect, _rising_leg(rect), p_r) + _al_multiset(dgm, dgm_leg, q_d)
     identity = lhs == rhs
 
+    table = _cut_rows(alpha)
+    cuts = [(i, u, s) for i, (u, s) in enumerate(table, 1) if u is not None]
+    results = iter(_cut_legs(b, cuts, strip, strip_leg, dgm, dgm_leg))
     per_i = []
-    cuts = []
-    for i in range(1, b.k + 2):
-        u = _shift_row(b, i)
+    checked = []
+    for i, (u, s) in enumerate(table, 1):
         if u is None:
             per_i.append(
                 {"i": i, "u": None, "s": None, "techprop": None,
                  "mChecks": "skipped"}
             )
             continue
+        _, _, checks = next(results)
         clauses = _techprop(b, i, u)
-        dec = _compute_decomposition(b, i, u, strip, strip_leg, dgm, dgm_leg)
-        cuts.append((i, clauses, dec))
+        checked.append((i, clauses, checks))
         per_i.append(
             {
                 "i": i,
                 "u": u,
-                "s": dec.s,
+                "s": s,
                 "techprop": list(clauses),
-                "mChecks": "pass" if dec.passed else "fail",
+                "mChecks": "pass" if all(checks.values()) else "fail",
             }
         )
 
-    all_sub = all(all(clauses) and dec.passed for _, clauses, dec in cuts)
+    all_sub = all(all(clauses) and all(checks.values()) for _, clauses, checks in checked)
     verdict = identity and same_cells and all_sub
     report = {
         "alpha": list(alpha.parts),
@@ -470,8 +497,8 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     detail = first_multiset_difference(lhs, rhs)
     if detail is not None:
         return report, detail
-    for i, clauses, dec in cuts:
-        failed = sorted(name for name, ok in dec.checks.items() if not ok)
+    for i, clauses, checks in checked:
+        failed = sorted(name for name, ok in checks.items() if not ok)
         if not all(clauses):
             failed.append("techprop")
         if failed:
