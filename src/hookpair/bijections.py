@@ -35,7 +35,7 @@ from .diagrams import (
     multiset_to_json,
 )
 from .dyck import build_dyck, build_sigma, pair_updown
-from .errors import CellNotInSet, CellNotInT, CounterexampleFound
+from .errors import CellNotInSet, CellNotInT, CounterexampleFound, UnknownChoice
 
 __all__ = [
     "MapEntry",
@@ -197,7 +197,7 @@ def zeta_map(p: Partition, kind: int) -> CellMap:
     if _require_int(kind, "zeta kind") == 1:
         return CellMap("V", _zeta1(p, _region_stats(p, "SQ")))
     if kind not in (2, 3):
-        raise ValueError(f"zeta kind must be 1, 2 or 3, got {kind!r}")
+        raise UnknownChoice(f"zeta kind must be 1, 2 or 3, got {kind!r}")
     source_tag, tag = ("T1star", "R") if kind == 2 else ("T2star", "D")
     star_rows = _region_rows(p, "Tstar")
     entries = []
@@ -298,7 +298,7 @@ def build_certificate(
     is measured once, on entry.
     """
     if stat not in ("al", "hook"):
-        raise ValueError(f"stat must be 'al' or 'hook', got {stat!r}")
+        raise UnknownChoice(f"stat must be 'al' or 'hook', got {stat!r}")
     source = _measured(source_ambient, stat)
     images = {}
     for tag, (ambient, members) in targets.items():
@@ -395,7 +395,7 @@ def theorem_report(p: Partition, which: int) -> dict:
         targets = {"R": (rect, rect), "D": (dgm, dgm)}
         cmap = _psi(p, source)
     else:
-        raise ValueError(f"theorem must be 1, 2 or 3, got {which!r}")
+        raise UnknownChoice(f"theorem must be 1, 2 or 3, got {which!r}")
 
     left = _multiset(stat, [source])
     right = _multiset(stat, [ambient for ambient, _ in targets.values()])

@@ -21,9 +21,11 @@ from .errors import (
     IndexOutOfRange,
     NotASubset,
     NotAnInteger,
+    NotContiguous,
     NotRising,
     NotWeaklyDecreasing,
     PartExceedsN,
+    UnknownChoice,
     WrongLength,
 )
 
@@ -85,6 +87,7 @@ class Partition:
         if "" in items:
             raise EmptyField(f"empty field in parts {text!r}")
         parts = tuple(_decimal(s, "part") for s in items)
+        _require_int(k, "bound k", 1)
         if len(parts) > k:
             raise WrongLength(f"got {len(parts)} parts for k={k}")
         return cls(parts + (0,) * (k - len(parts)), k, n)
@@ -280,7 +283,7 @@ class CellSet:
         for r in self.occupied_rows():
             cols = self._rows[r]
             if cols[-1] - cols[0] + 1 != len(cols):
-                raise ValueError(f"row {r} is not contiguous")
+                raise NotContiguous(f"row {r} is not contiguous")
             out.append((r, cols[0], cols[-1]))
         return out
 
@@ -305,7 +308,7 @@ def _region_rows(p: Partition, kind: str) -> list[tuple[int, int]]:
     kinds and their rows.
     """
     if kind not in REGION_KINDS:
-        raise ValueError(f"unknown region kind {kind!r}")
+        raise UnknownChoice(f"unknown region kind {kind!r}")
     a = p.parts
     k, n = p.k, p.n
     a1, ak = a[0], a[-1]

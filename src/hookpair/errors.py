@@ -16,6 +16,8 @@ __all__ = [
     "NoMatchingDownStep",
     "KindWithoutDiagonal",
     "NoShiftRow",
+    "UnknownChoice",
+    "NotContiguous",
     "CellNotInSet",
     "CellNotInT",
     "CounterexampleFound",
@@ -89,6 +91,15 @@ class KindWithoutDiagonal(HookpairError, ValueError):
 
 class NoShiftRow(HookpairError, ValueError):
     """No row of the strip lies above the diagonal for this arm index."""
+
+
+class UnknownChoice(HookpairError, ValueError):
+    """A selector names none of its allowed choices: an identity, a zeta
+    kind, a statistic or a region kind."""
+
+
+class NotContiguous(HookpairError, ValueError):
+    """A row of a cell set has a gap, so it has no single column interval."""
 
 
 class CounterexampleFound(HookpairError, AssertionError):

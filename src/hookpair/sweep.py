@@ -19,6 +19,7 @@ from typing import Iterator
 
 from .bijections import theorem_report
 from .diagrams import Partition, _decimal, _require_int
+from .errors import UnknownChoice
 from .projective import ClassBPartition, StrictPartition, alpha_from_strict, projective_report
 
 __all__ = [
@@ -84,12 +85,12 @@ class SweepConfig:
         if self.max_n is not None:
             _require_int(self.max_n, "max_n", 1)
         if not self.theorems:
-            raise ValueError("at least one identity must be selected")
+            raise UnknownChoice("at least one identity must be selected")
         for t in self.theorems:
             if t not in THEOREM_NAMES:
-                raise ValueError(f"unknown identity {t!r}")
+                raise UnknownChoice(f"unknown identity {t!r}")
         if self.max_n is None and any(t != "projective" for t in self.theorems):
-            raise ValueError("max_n must be given for box sweeps")
+            raise UnknownChoice("max_n must be given for box sweeps")
 
 
 def _enumerate_cases(cfg: SweepConfig) -> list[tuple]:

@@ -27,7 +27,14 @@ from hookpair.diagrams import (
     hook_multiset_to_json,
     multiset_to_json,
 )
-from hookpair.errors import CellNotInSet, CellNotInT, CounterexampleFound, NotAnInteger
+from hookpair.errors import (
+    CellNotInSet,
+    CellNotInT,
+    CounterexampleFound,
+    HookpairError,
+    NotAnInteger,
+    UnknownChoice,
+)
 
 from util import (
     arm_by_scan,
@@ -239,6 +246,12 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta_map(FIG, 4)
 
+    def test_unknown_kind_is_a_package_error(self):
+        with pytest.raises(HookpairError) as exc:
+            zeta_map(FIG, 4)
+        assert isinstance(exc.value, UnknownChoice)
+        assert str(exc.value) == "zeta kind must be 1, 2 or 3, got 4"
+
     @pytest.mark.parametrize("kind", [True, 1.0, "1"])
     def test_kind_must_be_int(self, kind):
         # True == 1, so zeta_map(p, True) used to return zeta 1
@@ -420,6 +433,13 @@ class TestCertificateFailures:
         with pytest.raises(ValueError):
             build_certificate(phi_map(TWO_CELL), strip, strip, {}, "coleg")
 
+    def test_unknown_stat_is_a_package_error(self):
+        strip = build_region(TWO_CELL, "T")
+        with pytest.raises(HookpairError) as exc:
+            build_certificate(phi_map(TWO_CELL), strip, strip, {}, "x")
+        assert isinstance(exc.value, UnknownChoice)
+        assert str(exc.value) == "stat must be 'al' or 'hook', got 'x'"
+
 
 class TestTheorems:
     def test_staircase_pairs_identity(self):
@@ -455,6 +475,12 @@ class TestTheorems:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             theorem_report(Partition((1,), k=1, n=1), 4)
+
+    def test_unknown_theorem_is_a_package_error(self):
+        with pytest.raises(HookpairError) as exc:
+            theorem_report(Partition((1,), k=1, n=1), 4)
+        assert isinstance(exc.value, UnknownChoice)
+        assert str(exc.value) == "theorem must be 1, 2 or 3, got 4"
 
     @pytest.mark.parametrize("which", [True, 2.0, "2"])
     def test_theorem_must_be_int(self, which):

@@ -29,9 +29,11 @@ from hookpair.errors import (
     IndexOutOfRange,
     NotASubset,
     NotAnInteger,
+    NotContiguous,
     NotRising,
     NotWeaklyDecreasing,
     PartExceedsN,
+    UnknownChoice,
     WrongLength,
 )
 from util import (
@@ -93,6 +95,12 @@ class TestPartition:
         assert Partition.from_text(" 3 , 1 ", 2, 4).parts == (3, 1)
         with pytest.raises(NotWeaklyDecreasing):
             Partition.from_text("3,-1", 2, 4)
+
+    @pytest.mark.parametrize("k", [2.0, True, "3"], ids=repr)
+    def test_from_text_bound_must_be_int(self, k):
+        # padding with (0,) * (k - len(parts)) raised a bare TypeError for 2.0
+        with pytest.raises(NotAnInteger, match="^bound k must be an integer"):
+            Partition.from_text("1", k, 3)
 
     @pytest.mark.parametrize("text", ["", "  "])
     def test_from_text_blank_is_all_zero(self, text):
@@ -242,6 +250,14 @@ class TestCellSet:
         with pytest.raises(ValueError):
             CellSet({(1, 1), (1, 3)}).to_json()
 
+    def test_ragged_row_is_a_package_error(self):
+        g = CellSet({(1, 1), (1, 3), (2, 2)})
+        for call in (g.row_intervals, g.to_json):
+            with pytest.raises(HookpairError) as exc:
+                call()
+            assert isinstance(exc.value, NotContiguous)
+            assert str(exc.value) == "row 1 is not contiguous"
+
     @pytest.mark.parametrize(
         "cells",
         [[(1.5, 2)], [(1, 2.0)], [(True, 1)], [(1, False)], [(1, 1), (True, 1)],
@@ -284,6 +300,12 @@ class TestRegions:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_region(Partition((1,), 1, 1), "Q")
+
+    def test_unknown_kind_is_a_package_error(self):
+        with pytest.raises(HookpairError) as exc:
+            build_region(Partition((1,), 1, 1), "Q")
+        assert isinstance(exc.value, UnknownChoice)
+        assert str(exc.value) == "unknown region kind 'Q'"
 
     def test_cardinalities_sweep(self):
         for p in sweep_partitions(4, 4):

@@ -8,7 +8,7 @@ import pytest
 
 import hookpair.cli as cli
 import hookpair.sweep as sweep_mod
-from hookpair.errors import IndexOutOfRange, NotAnInteger
+from hookpair.errors import HookpairError, IndexOutOfRange, NotAnInteger, UnknownChoice
 from hookpair.projective import is_class_B
 from hookpair.sweep import (
     SweepConfig,
@@ -99,6 +99,21 @@ class TestSweepConfig:
     def test_rejects_unknown_identity(self):
         with pytest.raises(ValueError):
             SweepConfig(max_k=3, max_n=3, theorems=("4",))
+
+    @pytest.mark.parametrize(
+        "max_n, theorems, message",
+        [
+            (3, (), "at least one identity must be selected"),
+            (3, ("4",), "unknown identity '4'"),
+            (None, ("projective", "1"), "max_n must be given for box sweeps"),
+        ],
+        ids=["none", "unknown", "box-without-n"],
+    )
+    def test_choice_errors_are_package_errors(self, max_n, theorems, message):
+        with pytest.raises(HookpairError) as exc:
+            SweepConfig(max_k=3, max_n=max_n, theorems=theorems)
+        assert isinstance(exc.value, UnknownChoice)
+        assert str(exc.value) == message
 
     def test_projective_needs_no_n(self):
         cfg = SweepConfig(max_k=3, max_n=None, theorems=("projective",))
