@@ -40,8 +40,10 @@ from hookpair.projective import (
 
 from util import (
     arm_by_scan,
+    count_calls,
     count_cellsets,
     count_region_builds,
+    decomposition_reference,
     leg_by_scan,
     strict_partitions,
 )
@@ -405,6 +407,52 @@ class TestMDecomposition:
             "alpha": [5, 4, 2, 1, 0], "k": 5, "n": 6, "theorem": "proj", "i": 1,
             "repro": "hookpair verify --k 5 --n 6 --alpha 5,4,2,1,0 --theorem proj",
         }
+
+
+class TestDecompositionKernel:
+    """The cut kernel against a direct construction, and what it builds."""
+
+    FIELDS = ("m1", "m2", "m3", "m4", "m11", "m12", "m21", "m22", "m23")
+
+    def test_matches_reference(self):
+        checked = 0
+        for b in family_members(6):
+            for i in range(1, b.k + 2):
+                ref = decomposition_reference(b, i)
+                if ref is None:
+                    with pytest.raises(NoShiftRow):
+                        m_decomposition(b, i)
+                    continue
+                dec = m_decomposition(b, i)
+                got = {name: getattr(dec, name) for name in ("u", "s", "s_eff") + self.FIELDS}
+                assert got == ref, (b.alpha, i)
+                checked += 1
+        assert checked == 522
+
+    def test_leg_lists_compare_multiplicities(self):
+        import hookpair.projective as pj
+
+        assert pj._same_legs([0, 1, 0], [0, 0, 1])
+        assert pj._same_legs([2, 1], range(1, 3))
+        # the same legs as sets, one multiplicity apart
+        assert not pj._same_legs([0, 0, 1], [0, 1, 1])
+        assert not pj._same_legs([1, 1, 2], range(1, 3))
+
+    def test_report_builds_one_shifted_strip_per_shift_row(self, monkeypatch):
+        import hookpair.projective as pj
+
+        shared = 0
+        for b in [GOLD, *family_members(6)]:
+            reports = []
+            shifts = count_calls(
+                monkeypatch, pj, "_shifted_rows", lambda: reports.append(projective_report(b))
+            )
+            made = count_calls(monkeypatch, pj, "MDecomposition", lambda: projective_report(b))
+            us = [row["u"] for row in reports[0]["perI"] if row["u"] is not None]
+            assert sorted(u for _, u, _ in shifts) == sorted(set(us)), b.alpha
+            assert made == [], b.alpha
+            shared += len(us) > len(set(us))
+        assert shared > 0
 
 
 class TestProjectiveIdentity:

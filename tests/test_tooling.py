@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -138,3 +139,19 @@ def test_demo_runs_with_asserts_stripped(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
     assert proc.stderr == b""
+
+
+MUTANTS = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
+
+
+def test_standing_mutants_match_the_source(monkeypatch):
+    # every mutant's old text occurs exactly once, so the list follows
+    # refactors; running the mutants themselves is left to tools/mutants.py
+    spec = importlib.util.spec_from_file_location("mutants", MUTANTS)
+    mutants = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "mutants", mutants)
+    spec.loader.exec_module(mutants)
+    names = [m.name for m in mutants.MUTANTS]
+    assert names and len(names) == len(set(names))
+    assert all(m.old != m.new for m in mutants.MUTANTS)
+    assert mutants.unmatched() == []

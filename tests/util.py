@@ -5,7 +5,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from hookpair.diagrams import CellSet, Partition, build_region
+from hookpair.diagrams import CellSet, Partition, arm_slice, build_region
 
 
 ACCEPTANCE_LINES: list[str] = []
@@ -97,6 +97,21 @@ def count_cellsets(monkeypatch, run):
     return len(made)
 
 
+def count_calls(monkeypatch, module, name, run):
+    """Argument tuples of the calls to module.<name> made while run() runs."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
 def arm_by_scan(g, cell):
     r, c = cell
     return sum(1 for rr, cc in g.cells if rr == r and cc > c)
@@ -149,3 +164,61 @@ def phi_reference_json(p):
                 }
             )
     return sorted(entries, key=lambda e: e["from"])
+
+
+def decomposition_reference(b, i):
+    """u, s, s_eff and the leg multisets m1 .. m23 of cut i, built the direct
+    way, or None when the cut has no shift row.
+
+    T is built cell by cell from the parts, D likewise; the shift row is the
+    lowest row whose arm-(i-1) cell lies above the strip diagonal; rows
+    u..k of T move to columns a1+1 .. a1+k+1, the result is rotated with
+    CellSet.rotate180, and every leg is a scan of the cells.
+    """
+    from collections import Counter
+
+    a = b.alpha.parts
+    k = b.k
+    n = k + 1
+    a1 = a[0]
+    diag_t, diag_d = k + a1 + 1, k + 1
+    strip = CellSet(
+        (r, c) for r in range(1, k + 1) for c in range(a1 - a[r - 1] + 1, n + a1 - a[r - 1] + 1)
+    )
+    dgm_cells = [(r, c) for r in range(1, k + 1) for c in range(1, a[k - r] + 1)]
+    dgm = CellSet(dgm_cells)
+
+    strip_slice = sorted(arm_slice(strip, i))
+    above = [r for r, c in strip_slice if r + c > diag_t]
+    if not above:
+        return None
+    u = min(above)
+    s = next(j for j in range(1, k + 2) if (a[j - 1] if j <= k else 0) <= i - 1)
+    s_eff = min(s, u)
+
+    shifted = CellSet(
+        [(r, c) for r, c in strip if r < u]
+        + [(r, c) for r in range(u, k + 1) for c in range(a1 + 1, a1 + k + 2)]
+    )
+    star = shifted.rotate180()
+    t_legs = [((r, c), leg_by_scan(shifted, (r, c))) for r, c in sorted(arm_slice(shifted, i))]
+    s_legs = [((r, c), leg_by_scan(star, (r, c))) for r, c in sorted(arm_slice(star, i))]
+    long_rows = CellSet(
+        (r, c) for r, c in dgm_cells if sum(1 for rr, _ in dgm_cells if rr == r) >= i
+    )
+    d_slice = sorted(arm_slice(long_rows, i))
+
+    return {
+        "u": u,
+        "s": s,
+        "s_eff": s_eff,
+        "m1": Counter(leg for _, leg in t_legs),
+        "m2": Counter(leg for _, leg in s_legs),
+        "m3": Counter(leg_by_scan(strip, x) for x in strip_slice if sum(x) <= diag_t),
+        "m4": Counter(leg_by_scan(dgm, x) for x in d_slice if sum(x) > diag_d),
+        "m11": Counter(leg for x, leg in t_legs if sum(x) <= diag_t),
+        "m12": Counter(leg for x, leg in t_legs if sum(x) > diag_t),
+        "m21": Counter(leg for (r, c), leg in s_legs if c <= k + 1),
+        "m22": Counter(leg for (r, c), leg in s_legs if c > k + 1 and r + c <= 2 * k + 2),
+        "m23": Counter(leg for (r, c), leg in s_legs if r + c > 2 * k + 2),
+    }
