@@ -310,7 +310,7 @@ def _arm_slice(rows: list[tuple[int, int]], i: int) -> list[Cell]:
 
 def _cut_legs(
     b: ClassBPartition,
-    cuts,
+    cuts: list[tuple[int, int, int]],
     strip: list[tuple[int, int]],
     strip_leg,
     dgm: list[tuple[int, int]],
