@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: exhaustive enumerations and strategies."""
 
 import sys
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -175,8 +176,6 @@ def decomposition_reference(b, i):
     u..k of T move to columns a1+1 .. a1+k+1, the result is rotated with
     CellSet.rotate180, and every leg is a scan of the cells.
     """
-    from collections import Counter
-
     a = b.alpha.parts
     k = b.k
     n = k + 1
@@ -214,10 +213,10 @@ def decomposition_reference(b, i):
         "s_eff": s_eff,
         "m1": Counter(leg for _, leg in t_legs),
         "m2": Counter(leg for _, leg in s_legs),
-        "m3": Counter(leg_by_scan(strip, x) for x in strip_slice if sum(x) <= diag_t),
-        "m4": Counter(leg_by_scan(dgm, x) for x in d_slice if sum(x) > diag_d),
-        "m11": Counter(leg for x, leg in t_legs if sum(x) <= diag_t),
-        "m12": Counter(leg for x, leg in t_legs if sum(x) > diag_t),
+        "m3": Counter(leg_by_scan(strip, (r, c)) for r, c in strip_slice if r + c <= diag_t),
+        "m4": Counter(leg_by_scan(dgm, (r, c)) for r, c in d_slice if r + c > diag_d),
+        "m11": Counter(leg for (r, c), leg in t_legs if r + c <= diag_t),
+        "m12": Counter(leg for (r, c), leg in t_legs if r + c > diag_t),
         "m21": Counter(leg for (r, c), leg in s_legs if c <= k + 1),
         "m22": Counter(leg for (r, c), leg in s_legs if c > k + 1 and r + c <= 2 * k + 2),
         "m23": Counter(leg for (r, c), leg in s_legs if r + c > 2 * k + 2),

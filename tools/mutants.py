@@ -6,7 +6,8 @@
 
 Each mutant replaces one exact text in one source file.  For each mutant the
 tool copies the repository (without ``.git`` and caches) to a temporary
-directory, applies the mutant there, runs the Tier-1 command in the copy and
+directory, applies the mutant there, runs the Tier-1 command in the copy
+(without the test that checks this list, which no mutated copy can pass) and
 reports the mutant as killed (the tests fail) or survived (they pass).  It
 exits 1 when a mutant survives, and also when a mutant's old text does not
 occur exactly once in its file, so the list has to follow refactors; it exits
@@ -28,6 +29,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+# the Tier-1 test that checks this list fails on every mutated copy, since the
+# copy no longer holds the old text; it says nothing about the mutant
+LIST_CHECK = "tests/test_tooling.py::test_standing_mutants_match_the_source"
 TIMEOUT_S = 900
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                  "*.egg-info", ".bench_*")
@@ -103,7 +107,7 @@ MUTANTS = (
         "strip-cached-per-cut", PROJECTIVE,
         "        if u not in shifted:\n",
         "        if i - 1 not in shifted:\n",
-        "the shifted strip is looked up under i - 1, so every cut rebuilds it",
+        "the cache is tested under i - 1 instead of u: most cuts rebuild the strip, some miss it",
     ),
     Mutant(
         "strip-cached-under-s", PROJECTIVE,
@@ -180,12 +184,15 @@ def tier1_fails(mutant: Mutant | None, root: Path = ROOT) -> bool:
             path = copy / mutant.path
             text = path.read_text(encoding="utf-8")
             path.write_text(text.replace(mutant.old, mutant.new, 1), encoding="utf-8")
+            command = TIER1 + ["--deselect", LIST_CHECK]
+        else:
+            command = TIER1
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(copy / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
         try:
-            done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True,
+            done = subprocess.run(command, cwd=copy, env=env, capture_output=True,
                                   timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return True
