@@ -203,11 +203,12 @@ def _cut_rows(alpha: Partition) -> list[tuple[int | None, int]]:
     return out
 
 
-def _shift_row(b: ClassBPartition, i: int) -> int | None:
-    """Smallest row whose arm-(i-1) cell sits above the strip diagonal,
-    after checking that the cut i exists."""
+def _cut(b: ClassBPartition, i: int) -> tuple[int | None, int | None]:
+    """(u, s) of the cut i from ``_cut_rows``, after checking that the cut
+    exists; a cut past k+1 has neither."""
     _require_cut(b.alpha, i)
-    return _cut_rows(b.alpha)[i - 1][0]
+    table = _cut_rows(b.alpha)
+    return table[i - 1] if i <= len(table) else (None, None)
 
 
 def _shifted_rows(
@@ -225,7 +226,7 @@ def shift_Ti(b: ClassBPartition, i: int) -> tuple[CellSet, int | None]:
     keep their position.  When no arm-(i-1) cell lies above the diagonal the
     strip is returned unchanged with u = None.
     """
-    u = _shift_row(b, i)
+    u, _ = _cut(b, i)
     rows = _region_rows(b.alpha, "T")
     if u is not None:
         rows = _shifted_rows(rows, u, b.alpha.part(1))
@@ -253,7 +254,7 @@ def _techprop(b: ClassBPartition, i: int, u: int) -> tuple[bool, ...]:
 
 def check_prop_techprop(b: ClassBPartition, i: int) -> dict:
     """Evaluate the four inequality pairs tied to the shift row."""
-    u = _shift_row(b, i)
+    u, _ = _cut(b, i)
     if u is None:
         raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
     clauses = _techprop(b, i, u)
@@ -390,8 +391,7 @@ def _strip_and_diagram(alpha: Partition) -> tuple:
 
 def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
     """Compute the decomposition and insist every equality holds."""
-    _require_cut(b.alpha, i)
-    u, s = _cut_rows(b.alpha)[i - 1]
+    u, s = _cut(b, i)
     if u is None:
         raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
     [(s_eff, legs, checks)] = _cut_legs(b, [(i, u, s)], *_strip_and_diagram(b.alpha))
@@ -458,29 +458,25 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     rhs = _al_multiset(rect, _rising_leg(rect), p_r) + _al_multiset(dgm, dgm_leg, q_d)
     identity = lhs == rhs
 
-    table = _cut_rows(alpha)
-    cuts = [(i, u, s) for i, (u, s) in enumerate(table, 1) if u is not None]
-    results = iter(_cut_legs(b, cuts, strip, strip_leg, dgm, dgm_leg))
     per_i = []
-    checked = []
-    for i, (u, s) in enumerate(table, 1):
+    cuts = []
+    for i, (u, s) in enumerate(_cut_rows(alpha), 1):
         if u is None:
             per_i.append(
                 {"i": i, "u": None, "s": None, "techprop": None,
                  "mChecks": "skipped"}
             )
-            continue
-        _, _, checks = next(results)
+        else:
+            per_i.append({"i": i, "u": u, "s": s})
+            cuts.append((i, u, s))
+    checked = []
+    results = _cut_legs(b, cuts, strip, strip_leg, dgm, dgm_leg)
+    for (i, u, _), (_, _, checks) in zip(cuts, results):
         clauses = _techprop(b, i, u)
         checked.append((i, clauses, checks))
-        per_i.append(
-            {
-                "i": i,
-                "u": u,
-                "s": s,
-                "techprop": list(clauses),
-                "mChecks": "pass" if all(checks.values()) else "fail",
-            }
+        per_i[i - 1].update(
+            techprop=list(clauses),
+            mChecks="pass" if all(checks.values()) else "fail",
         )
 
     all_sub = all(all(clauses) and all(checks.values()) for _, clauses, checks in checked)

@@ -293,6 +293,19 @@ class TestCutRange:
         with pytest.raises(NotAnInteger, match="cut parameter i"):
             function(SMALL, i)
 
+    @pytest.mark.parametrize("i", [4, 5])
+    def test_cut_past_k_plus_one_has_no_shift_row(self, i):
+        # ClassBPartition does not check n = k+1; cuts k+2 .. n exist but
+        # no row a <= k has a - alpha_a >= i there
+        b0 = alpha_from_strict(StrictPartition((2,), 2))
+        b = ClassBPartition(Partition(b0.alpha.parts, k=2, n=5), b0.lam, b0.m)
+        strip, u = shift_Ti(b, i)
+        assert u is None
+        assert strip == build_region(b.alpha, "T")
+        for function in (check_prop_techprop, m_decomposition):
+            with pytest.raises(NoShiftRow):
+                function(b, i)
+
 
 class TestRowIntervals:
     """The row-interval shapes behind the projective checks, against scans

@@ -1,8 +1,6 @@
 """Standing mutants: small deliberate bugs that the Tier-1 tests must catch.
 
-    python3 tools/mutants.py            # run every mutant
-    python3 tools/mutants.py NAME ...   # run the named mutants only
-    python3 tools/mutants.py --check    # only check that every old text matches
+    python3 tools/mutants.py
 
 Each mutant replaces one exact text in one source file.  For each mutant the
 tool copies the repository (without ``.git`` and caches) to a temporary
@@ -17,7 +15,6 @@ Standard library only; a full run takes a few minutes.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -105,9 +102,17 @@ MUTANTS = (
     ),
     Mutant(
         "strip-cached-per-cut", PROJECTIVE,
-        "        if u not in shifted:\n",
-        "        if i - 1 not in shifted:\n",
-        "the cache is tested under i - 1 instead of u: most cuts rebuild the strip, some miss it",
+        "        if u not in shifted:\n"
+        "            ti = _shifted_rows(strip, u, a1)\n"
+        "            star = _rotated_rows(ti)\n"
+        "            shifted[u] = (ti, _rising_leg(ti), star, _rising_leg(star))\n"
+        "        ti, ti_leg, star, star_leg = shifted[u]\n",
+        "        if i - 1 not in shifted:\n"
+        "            ti = _shifted_rows(strip, u, a1)\n"
+        "            star = _rotated_rows(ti)\n"
+        "            shifted[i - 1] = (ti, _rising_leg(ti), star, _rising_leg(star))\n"
+        "        ti, ti_leg, star, star_leg = shifted[i - 1]\n",
+        "every cut builds its own shifted strip: the legs stay right, the work does not",
     ),
     Mutant(
         "strip-cached-under-s", PROJECTIVE,
@@ -159,12 +164,12 @@ MUTANTS = (
 )
 
 
-def unmatched(root: Path = ROOT, mutants=MUTANTS) -> list[str]:
+def unmatched() -> list[str]:
     """'name: reason' for every mutant whose old text does not occur exactly
-    once in its file under root."""
+    once in its file."""
     bad = []
-    for m in mutants:
-        path = root / m.path
+    for m in MUTANTS:
+        path = ROOT / m.path
         if not path.is_file():
             bad.append(f"{m.name}: no file {m.path}")
             continue
@@ -174,12 +179,12 @@ def unmatched(root: Path = ROOT, mutants=MUTANTS) -> list[str]:
     return bad
 
 
-def tier1_fails(mutant: Mutant | None, root: Path = ROOT) -> bool:
-    """Whether the Tier-1 tests fail on a copy of root with the mutant
+def tier1_fails(mutant: Mutant | None) -> bool:
+    """Whether the Tier-1 tests fail on a copy of the tree with the mutant
     applied (with none applied when it is None)."""
     with tempfile.TemporaryDirectory(prefix="hookpair-mutant-") as tmp:
         copy = Path(tmp) / "repo"
-        shutil.copytree(root, copy, ignore=IGNORED)
+        shutil.copytree(ROOT, copy, ignore=IGNORED)
         if mutant is not None:
             path = copy / mutant.path
             text = path.read_text(encoding="utf-8")
@@ -199,36 +204,21 @@ def tier1_fails(mutant: Mutant | None, root: Path = ROOT) -> bool:
         return done.returncode != 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--check", action="store_true",
-                        help="only check that every old text occurs exactly once")
-    args = parser.parse_args(argv)
-
-    known = {m.name for m in MUTANTS}
-    unknown = sorted(set(args.names) - known)
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-
-    bad = unmatched(ROOT, chosen)
+def main() -> int:
+    bad = unmatched()
     for line in bad:
         print(f"stale    {line}")
-    if args.check:
-        return 1 if bad else 0
-
     if tier1_fails(None):
         print("the Tier-1 tests fail without a mutant; nothing to measure")
         return 2
     survived = 0
-    for m in chosen:
+    for m in MUTANTS:
         if any(line.startswith(f"{m.name}:") for line in bad):
             continue
         killed = tier1_fails(m)
         survived += not killed
         print(f"{'killed' if killed else 'SURVIVED':<8} {m.name}: {m.why}", flush=True)
-    print(f"{len(chosen) - len(bad) - survived} killed, {survived} survived, "
+    print(f"{len(MUTANTS) - len(bad) - survived} killed, {survived} survived, "
           f"{len(bad)} stale")
     return 1 if bad or survived else 0
 
