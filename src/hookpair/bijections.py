@@ -25,6 +25,7 @@ from .diagrams import (
     CellSet,
     Partition,
     StatTable,
+    _arm_slice,
     _region_rows,
     _region_stats,
     _require_int,
@@ -35,7 +36,13 @@ from .diagrams import (
     multiset_to_json,
 )
 from .dyck import build_dyck, build_sigma, pair_updown
-from .errors import CellNotInSet, CellNotInT, CounterexampleFound, UnknownChoice
+from .errors import (
+    CellNotInSet,
+    CellNotInT,
+    CounterexampleFound,
+    DuplicateSource,
+    UnknownChoice,
+)
 
 __all__ = [
     "MapEntry",
@@ -68,7 +75,7 @@ class CellMap:
         self.entries = tuple(sorted(entries, key=lambda e: e.source))
         self._by_source = {e.source: e for e in self.entries}
         if len(self._by_source) != len(self.entries):
-            raise ValueError("duplicate source cell in map")
+            raise DuplicateSource("duplicate source cell in map")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -121,12 +128,11 @@ def _phi(p: Partition, stats: StatTable) -> list[MapEntry]:
     for i in range(1, p.n + 1):
         sigma = build_sigma(p, i)
         pairing = pair_updown(build_dyck(sigma))
+        targets = _arm_slice(star_rows, i)
         for lab in sigma:
             if lab.kind != "x":
                 continue
-            row = pairing[lab.index]
-            # the arm-(i-1) cell of row `row` of T*
-            target = (row, star_rows[row - 1][1] - i + 1)
+            target = targets[pairing[lab.index] - 1]
             entries.append(MapEntry(lab.cell, target, "Tstar", stats[lab.cell]))
     return entries
 

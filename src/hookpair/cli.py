@@ -17,7 +17,7 @@ import sys
 from .bijections import phi_map, psi_map, verify_theorem
 from .diagrams import Partition, _decimal, _require_int, build_region
 from .dyck import build_dyck, build_sigma, pair_updown
-from .errors import CounterexampleFound, HookpairError, NotAnInteger
+from .errors import CounterexampleFound, HookpairError, NotAnInteger, NotInFamily
 from .projective import diagonal_spec, is_class_B, verify_projective
 from .render import render_ascii
 from .sweep import SweepConfig, run_sweep
@@ -53,7 +53,7 @@ def _cmd_verify(args) -> int:
     if args.theorem == "proj":
         b = is_class_B(p)
         if b is None:
-            raise ValueError(f"alpha={p} is not in the n=k+1 Frobenius family")
+            raise NotInFamily(f"alpha={p} is not in the n=k+1 Frobenius family")
         report = verify_projective(b)
     else:
         report = verify_theorem(p, _decimal(args.theorem))
@@ -88,7 +88,7 @@ def _cmd_show(args) -> int:
     if args.pq:
         b = is_class_B(p)
         if b is None:
-            raise ValueError(
+            raise NotInFamily(
                 "the diagonal split is defined for the n=k+1 Frobenius family"
             )
         diag = diagonal_spec(b, args.region, g)
@@ -96,7 +96,7 @@ def _cmd_show(args) -> int:
     if args.dots is not None:
         dots = _require_int(args.dots, "--dots", 1)
         marks = [x for x in g if g.arm(x) == dots - 1]
-    print(render_ascii(g, diag, marks))
+    print(render_ascii(g, diag, marks) if len(g) else "")
     return 0
 
 

@@ -238,15 +238,10 @@ class CellSet:
 
     def is_skew_valid(self) -> bool:
         """True when every occupied row is contiguous and both edges rise with the row."""
-        prev_lo = prev_hi = None
-        for r in self.occupied_rows():
-            cols = self._rows[r]
-            lo, hi = cols[0], cols[-1]
-            if hi - lo + 1 != len(cols):
-                return False
-            if prev_lo is not None and (lo < prev_lo or hi < prev_hi):
-                return False
-            prev_lo, prev_hi = lo, hi
+        try:
+            _rising_leg([(lo, hi) for _, lo, hi in self.row_intervals()])
+        except (NotContiguous, NotRising):
+            return False
         return True
 
     def bounds(self) -> tuple[int, int, int, int]:
@@ -316,21 +311,23 @@ def _region_rows(p: Partition, kind: str) -> list[tuple[int, int]]:
         return [(1, a[k - i]) for i in range(1, k + 1)]
     if kind == "R":
         return [(1, n)] * k
-    if kind in ("T", "SQ", "V"):
-        strip = [(a1 - a[i - 1] + 1, n + a1 - a[i - 1]) for i in range(1, k + 1)]
-        if kind == "T":
-            return strip
-        below = strip if kind == "SQ" else [(1, 0)] * k
-        return below + [(n + a1 - a[m - 1] + 1, n + a1) for m in range(1, k + 1)]
-    if kind == "Tstar":
-        return [(a[k - i] - ak + 1, n + a[k - i] - ak) for i in range(1, k + 1)]
     if kind == "R1":
         return [(n - a[k - i] + 1, n) for i in range(1, k + 1)]
     if kind == "R2":
         return [(1, n - a[k - i]) for i in range(1, k + 1)]
+    strip = [(a1 - a[i - 1] + 1, n + a1 - a[i - 1]) for i in range(1, k + 1)]
+    if kind == "T":
+        return strip
+    if kind in ("SQ", "V"):
+        below = strip if kind == "SQ" else [(1, 0)] * k
+        return below + [(n + a1 - a[m - 1] + 1, n + a1) for m in range(1, k + 1)]
+    star = _rotated_rows(strip)
+    if kind == "Tstar":
+        return star
+    # T1star and T2star split Tstar at column n - a_k
     if kind == "T1star":
-        return [(a[k - i] - ak + 1, n - ak) for i in range(1, k + 1)]
-    return [(n - ak + 1, n + a[k - i] - ak) for i in range(1, k + 1)]  # T2star
+        return [(lo, min(hi, n - ak)) for lo, hi in star]
+    return [(max(lo, n - ak + 1), hi) for lo, hi in star]  # T2star
 
 
 def build_region(p: Partition, kind: str) -> CellSet:
@@ -382,18 +379,41 @@ def _rising_leg(rows: list[tuple[int, int]]) -> Callable[[int, int], int]:
     return leg
 
 
-def _region_stats(p: Partition, kind: str) -> StatTable:
-    """{(r, c): (arm, leg)} of every cell of a rising region, in row-major order.
-
-    Raises NotRising for a region whose rows fall (R1, R2); arm is hi - c.
+def _rising_stats(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> StatTable:
+    """{(r, c): (arm, leg)} of the cells of ``part``, in row-major order,
+    measured in the rising shape ``rows``; row r of ``part`` must lie inside
+    row r of ``rows``.  The arm is hi - c, the leg one ``_rising_leg`` bisect.
     """
-    rows = _region_rows(p, kind)
     leg = _rising_leg(rows)
     return {
         (r, c): (hi - c, leg(r, c))
-        for r, (lo, hi) in enumerate(rows, 1)
-        for c in range(lo, hi + 1)
+        for r, ((_, hi), (lo_p, hi_p)) in enumerate(zip(rows, part), 1)
+        for c in range(lo_p, hi_p + 1)
     }
+
+
+def _region_stats(p: Partition, kind: str) -> StatTable:
+    """``_rising_stats`` of a whole region; NotRising for R1 and R2, whose rows fall."""
+    rows = _region_rows(p, kind)
+    return _rising_stats(rows, rows)
+
+
+def _rotated_rows(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Rows of the half-turn rotation inside the bounding box of a shape
+    whose rows are all non-empty, as ``CellSet.rotate180`` places it."""
+    cmax = max(hi for _, hi in rows)
+    return [(cmax + 1 - hi, cmax + 1 - lo) for lo, hi in reversed(rows)]
+
+
+def _arm_slice(rows: list[tuple[int, int]], i: int) -> list[Cell]:
+    """The arm-(i-1) cell (r, hi - i + 1) of every row, as ``arm_slice``
+    picks it; every row must be non-empty and hold at least i cells."""
+    cells = []
+    for r, (lo, hi) in enumerate(rows, 1):
+        if hi - lo + 1 < i:
+            raise IndexOutOfRange(f"row {r} has only {hi - lo + 1} cells, need {i}")
+        cells.append((r, hi - i + 1))
+    return cells
 
 
 def al_multiset(g: CellSet, e: CellSet | Iterable[Cell]) -> Counter:

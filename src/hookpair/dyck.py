@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Cell, Partition, _region_rows, _require_cut, _require_int
+from .diagrams import Cell, Partition, _arm_slice, _region_rows, _require_cut, _require_int
 from .errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
 
 __all__ = [
@@ -105,11 +105,9 @@ def label_cells(p: Partition, i: int) -> tuple[list[Label], list[Label]]:
     families occupy the same cells.
     """
     _require_cut(p, i)
-    # both label cells sit at a fixed distance from their row's right end
-    his = [hi for _, hi in _region_rows(p, "T")]
-    k = p.k
-    xs = [Label("x", j, (j, his[j - 1] - i + 1)) for j in range(1, k + 1)]
-    zs = [Label("z", j, (k + 1 - j, his[k - j])) for j in range(1, k + 1)]
+    strip = _region_rows(p, "T")
+    xs = [Label("x", j, x) for j, x in enumerate(_arm_slice(strip, i), 1)]
+    zs = [Label("z", j, z) for j, z in enumerate(reversed(_arm_slice(strip, 1)), 1)]
     return xs, zs
 
 

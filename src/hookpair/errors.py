@@ -20,6 +20,8 @@ __all__ = [
     "NotContiguous",
     "CellNotInSet",
     "CellNotInT",
+    "DuplicateSource",
+    "NotInFamily",
     "CounterexampleFound",
 ]
 
@@ -100,6 +102,15 @@ class UnknownChoice(HookpairError, ValueError):
 
 class NotContiguous(HookpairError, ValueError):
     """A row of a cell set has a gap, so it has no single column interval."""
+
+
+class DuplicateSource(HookpairError, ValueError):
+    """A cell map has two entries from one source cell."""
+
+
+class NotInFamily(HookpairError, ValueError):
+    """A partition asked for a diagonal construction is not in the n = k+1
+    Frobenius family."""
 
 
 class CounterexampleFound(HookpairError, AssertionError):

@@ -25,17 +25,19 @@ from .diagrams import (
     Cell,
     CellSet,
     Partition,
+    _arm_slice,
     _region_rows,
     _require_cut,
     _require_int,
     _rising_leg,
+    _rising_stats,
+    _rotated_rows,
     _verify_command,
     build_region,
     first_multiset_difference,
 )
 from .errors import (
     CounterexampleFound,
-    IndexOutOfRange,
     KindWithoutDiagonal,
     NoShiftRow,
     NotWeaklyDecreasing,
@@ -291,34 +293,14 @@ def _same_legs(a, b) -> bool:
     return sorted(a) == sorted(b)
 
 
-def _rotated_rows(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Rows of the half-turn rotation inside the bounding box of a shape
-    whose rows are all non-empty, as ``CellSet.rotate180`` places it."""
-    cmax = max(hi for _, hi in rows)
-    return [(cmax + 1 - hi, cmax + 1 - lo) for lo, hi in reversed(rows)]
-
-
-def _arm_slice(rows: list[tuple[int, int]], i: int) -> list[Cell]:
-    """The arm-(i-1) cell (r, hi - i + 1) of every row, as ``arm_slice``
-    picks it; every row must be non-empty and hold at least i cells."""
-    cells = []
-    for r, (lo, hi) in enumerate(rows, 1):
-        if hi - lo + 1 < i:
-            raise IndexOutOfRange(f"row {r} has only {hi - lo + 1} cells, need {i}")
-        cells.append((r, hi - i + 1))
-    return cells
-
-
 def _cut_legs(
     b: ClassBPartition,
     cuts: list[tuple[int, int, int]],
     strip: list[tuple[int, int]],
-    strip_leg,
     dgm: list[tuple[int, int]],
-    dgm_leg,
 ) -> list[tuple[int, dict[str, list[int]], dict[str, bool]]]:
     """(s_eff, leg lists, checks) of every cut (i, u, s) in ``cuts``, given
-    the rows of T and D and their ``_rising_leg`` tables.
+    the rows of T and D.
 
     Each leg list (m1 .. m23) holds the legs of its arm-(i-1) cells in row
     order.  The shifted strip, its rotation and their leg tables depend on
@@ -327,6 +309,7 @@ def _cut_legs(
     k = b.k
     a1 = b.alpha.part(1)
     diag_t, diag_d = _diagonal_total(b, "T"), _diagonal_total(b, "D")
+    strip_leg, dgm_leg = _rising_leg(strip), _rising_leg(dgm)
     shifted = {}
     out = []
     for i, u, s in cuts:
@@ -382,19 +365,13 @@ def _cut_legs(
     return out
 
 
-def _strip_and_diagram(alpha: Partition) -> tuple:
-    """Rows of T and D and their leg tables, in ``_cut_legs``'s order."""
-    strip = _region_rows(alpha, "T")
-    dgm = _region_rows(alpha, "D")
-    return strip, _rising_leg(strip), dgm, _rising_leg(dgm)
-
-
 def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
     """Compute the decomposition and insist every equality holds."""
     u, s = _cut(b, i)
     if u is None:
         raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
-    [(s_eff, legs, checks)] = _cut_legs(b, [(i, u, s)], *_strip_and_diagram(b.alpha))
+    strip, dgm = _region_rows(b.alpha, "T"), _region_rows(b.alpha, "D")
+    [(s_eff, legs, checks)] = _cut_legs(b, [(i, u, s)], strip, dgm)
     bad = sorted(name for name, ok in checks.items() if not ok)
     if bad:
         raise CounterexampleFound(
@@ -428,16 +405,10 @@ def _occupied(rows: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
     return [(r, lo, hi) for r, (lo, hi) in enumerate(rows, 1) if lo <= hi]
 
 
-def _al_multiset(
-    rows: list[tuple[int, int]], leg, part: list[tuple[int, int]]
-) -> Counter:
+def _al_multiset(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> Counter:
     """(arm, leg) multiset of the cells of ``part``, row r of which lies
-    inside row r of the rising shape ``rows`` with leg table ``leg``."""
-    out = Counter()
-    for r, ((_, hi), (lo_p, hi_p)) in enumerate(zip(rows, part), 1):
-        for c in range(lo_p, hi_p + 1):
-            out[hi - c, leg(r, c)] += 1
-    return out
+    inside row r of the rising shape ``rows``."""
+    return Counter(_rising_stats(rows, part).values())
 
 
 def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
@@ -447,15 +418,16 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     alpha = b.alpha
     sq = _region_rows(alpha, "SQ")
     rect = _region_rows(alpha, "R")
-    strip, strip_leg, dgm, dgm_leg = _strip_and_diagram(alpha)
+    strip = _region_rows(alpha, "T")
+    dgm = _region_rows(alpha, "D")
     p_sq = _on_or_below(sq, _diagonal_total(b, "SQ"))
     p_t = _on_or_below(strip, _diagonal_total(b, "T"))
     p_r = _on_or_below(rect, _diagonal_total(b, "R"))
     q_d = _above(dgm, _diagonal_total(b, "D"))
 
     same_cells = _occupied(p_sq) == _occupied(p_t)
-    lhs = _al_multiset(sq, _rising_leg(sq), p_sq)
-    rhs = _al_multiset(rect, _rising_leg(rect), p_r) + _al_multiset(dgm, dgm_leg, q_d)
+    lhs = _al_multiset(sq, p_sq)
+    rhs = _al_multiset(rect, p_r) + _al_multiset(dgm, q_d)
     identity = lhs == rhs
 
     per_i = []
@@ -470,7 +442,7 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
             per_i.append({"i": i, "u": u, "s": s})
             cuts.append((i, u, s))
     checked = []
-    results = _cut_legs(b, cuts, strip, strip_leg, dgm, dgm_leg)
+    results = _cut_legs(b, cuts, strip, dgm)
     for (i, u, _), (_, _, checks) in zip(cuts, results):
         clauses = _techprop(b, i, u)
         checked.append((i, clauses, checks))

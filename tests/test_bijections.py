@@ -31,6 +31,7 @@ from hookpair.errors import (
     CellNotInSet,
     CellNotInT,
     CounterexampleFound,
+    DuplicateSource,
     HookpairError,
     NotAnInteger,
     UnknownChoice,
@@ -376,6 +377,16 @@ class TestCertificateFailures:
         assert not cert.verdict
         kinds = {f["kind"] for f in cert.failures}
         assert "not-injective" in kinds and "image-incomplete" in kinds
+
+    def test_duplicate_source_is_a_package_error(self):
+        entries = [
+            MapEntry((1, 1), (1, 1), "Tstar", (0, 0)),
+            MapEntry((1, 1), (2, 2), "Tstar", (0, 0)),
+        ]
+        with pytest.raises(HookpairError) as exc:
+            CellMap("T", entries)
+        assert isinstance(exc.value, DuplicateSource) and isinstance(exc.value, ValueError)
+        assert str(exc.value) == "duplicate source cell in map"
 
     def test_missing_domain_detected(self):
         strip = build_region(TWO_CELL, "T")

@@ -11,7 +11,7 @@ import pytest
 
 import hookpair
 import hookpair.cli as cli
-from hookpair.errors import CounterexampleFound
+from hookpair.errors import CounterexampleFound, NotInFamily
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SHOW_ARGS = ["show", "--k", "1", "--n", "1", "--alpha", "1", "--region", "D"]
@@ -80,6 +80,13 @@ class TestVerify:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_outsider_is_a_package_error(self):
+        args = cli.build_parser().parse_args(
+            ["verify", "--k", "2", "--n", "3", "--alpha", "1,1", "--theorem", "proj"]
+        )
+        with pytest.raises(NotInFamily, match="not in the n=k[+]1 Frobenius family"):
+            args.func(args)
 
     def test_projective_rejects_wrong_n(self, capsys):
         code, _, err = run_cli(
@@ -197,6 +204,22 @@ class TestShow:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_pq_outsider_is_a_package_error(self):
+        args = cli.build_parser().parse_args(
+            ["show", "--k", "1", "--n", "2", "--alpha", "1", "--region", "D", "--pq"]
+        )
+        with pytest.raises(NotInFamily):
+            args.func(args)
+
+    @pytest.mark.parametrize("extra", [[], ["--pq"], ["--dots", "1"]])
+    def test_empty_region_is_an_empty_drawing(self, capsys, extra):
+        # 0,0,0,0 is a member of the n = k+1 family whose D has no cell
+        code, out, err = run_cli(
+            "show", "--k", "4", "--n", "5", "--alpha", "0,0,0,0",
+            "--region", "D", *extra, capsys=capsys,
+        )
+        assert (code, out, err) == (0, "\n", "")
 
     def test_dotted_rightmost_cells(self, capsys):
         code, out, _ = run_cli(

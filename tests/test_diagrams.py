@@ -12,6 +12,7 @@ from hookpair.diagrams import (
     _region_stats,
     _require_int,
     _rising_leg,
+    _rising_stats,
     al_multiset,
     arm_prefix,
     arm_slice,
@@ -43,6 +44,7 @@ from util import (
     coleg_by_scan,
     leg_by_scan,
     partitions,
+    skew_valid_by_scan,
     sweep_partitions,
 )
 
@@ -279,6 +281,25 @@ class TestCellSet:
         with pytest.raises(NotAnInteger):
             CellSet.from_json({"rows": [{"row": 1.5, "colMin": 1, "colMax": 2}]})
 
+    @given(cell_sets)
+    def test_skew_valid_against_scan(self, g):
+        assert g.is_skew_valid() == skew_valid_by_scan(g)
+
+    @pytest.mark.parametrize(
+        "cells, valid",
+        [
+            ({(1, 1), (1, 2), (2, 2), (2, 4)}, False),  # row 2 has a gap
+            ({(1, 2), (1, 3), (2, 1), (2, 2), (2, 3)}, False),  # lo falls
+            ({(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)}, False),  # hi falls
+            ({(1, 1), (1, 2), (3, 2), (3, 3), (3, 4)}, True),  # empty row 2
+            (set(), True),
+        ],
+    )
+    def test_skew_valid_cases(self, cells, valid):
+        g = CellSet(cells)
+        assert g.is_skew_valid() is valid
+        assert skew_valid_by_scan(g) is valid
+
 
 class TestRegions:
     def test_t_small(self):
@@ -404,6 +425,22 @@ class TestRegionStats:
         for kind in ("R1", "R2"):
             with pytest.raises(NotRising):
                 _region_stats(p, kind)
+
+    def test_part_stats_match_scans_sweep(self):
+        # the parts on either side of every line r + c = total, measured in
+        # the whole region
+        for p in sweep_partitions(3, 3):
+            for kind in self.KINDS:
+                rows = _region_rows(p, kind)
+                g = build_region(p, kind)
+                scanned = [(x, (arm_by_scan(g, x), leg_by_scan(g, x))) for x in g]
+                for total in range(1, 2 * p.k + p.n + p.part(1) + 1):
+                    below = [(lo, min(hi, total - r)) for r, (lo, hi) in enumerate(rows, 1)]
+                    above = [(max(lo, total - r + 1), hi) for r, (lo, hi) in enumerate(rows, 1)]
+                    for part, keep in ((below, True), (above, False)):
+                        want = [(x, al) for x, al in scanned if (sum(x) <= total) is keep]
+                        got = list(_rising_stats(rows, part).items())
+                        assert got == want, (p, kind, total, keep)
 
 
 class TestShapeIdentities:

@@ -9,8 +9,10 @@ import pytest
 from hookpair.diagrams import (
     CellSet,
     Partition,
+    _arm_slice,
     _region_rows,
     _rising_leg,
+    _rotated_rows,
     arm_slice,
     build_region,
 )
@@ -334,7 +336,7 @@ class TestRowIntervals:
                 rows = pj._shifted_rows(_region_rows(p, "T"), u, p.part(1))
                 note = (p, i)
                 assert self.assert_scan_statistics(rows, note) == ti, note
-                star = pj._rotated_rows(rows)
+                star = _rotated_rows(rows)
                 assert self.assert_scan_statistics(star, note) == ti.rotate180(), note
 
     @pytest.mark.parametrize(
@@ -348,10 +350,8 @@ class TestRowIntervals:
         assert built == [] and made == 0
 
     def test_short_row_has_no_arm_slice(self):
-        import hookpair.projective as pj
-
         with pytest.raises(IndexOutOfRange):
-            pj._arm_slice([(1, 3), (2, 3)], 3)
+            _arm_slice([(1, 3), (2, 3)], 3)
 
 
 class TestMDecomposition:
@@ -511,8 +511,8 @@ class TestProjectiveIdentity:
         original = pj._al_multiset
         shapes = []
 
-        def corrupted(rows, leg, part):
-            out = original(rows, leg, part)
+        def corrupted(rows, part):
+            out = original(rows, part)
             shapes.append(len(rows))
             if len(rows) == 2 * SMALL.k:  # SQ, the only region with 2k rows
                 out[(-1, -1)] += 1
@@ -567,8 +567,8 @@ class TestProjectiveIdentity:
 
         original = pj._al_multiset
 
-        def corrupted(rows, leg, part):
-            out = original(rows, leg, part)
+        def corrupted(rows, part):
+            out = original(rows, part)
             if len(rows) == 2 * SMALL.k:
                 out[(-1, -1)] += 1
             return out

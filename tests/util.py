@@ -128,6 +128,22 @@ def coleg_by_scan(g, cell):
     return sum(1 for rr, cc in g.cells if cc == c and rr > r)
 
 
+def skew_valid_by_scan(g):
+    """Whether every occupied row is contiguous and each occupied row starts
+    and ends at or right of every occupied row below it."""
+    rows = {}
+    for r, c in g.cells:
+        rows.setdefault(r, set()).add(c)
+    if any(max(cols) - min(cols) + 1 != len(cols) for cols in rows.values()):
+        return False
+    return all(
+        min(rows[low]) <= min(rows[high]) and max(rows[low]) <= max(rows[high])
+        for low in rows
+        for high in rows
+        if low < high
+    )
+
+
 def phi_reference_json(p):
     """phi built the direct way, as JSON: for every cut, freshly built T and
     T* rows give the labels and the targets, and each up step is matched by

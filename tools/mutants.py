@@ -34,6 +34,7 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
                                  "*.egg-info", ".bench_*")
 
 PROJECTIVE = "src/hookpair/projective.py"
+DIAGRAMS = "src/hookpair/diagrams.py"
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ MUTANTS = (
         "cuts with the same split index share one shifted strip",
     ),
     Mutant(
-        "rotation-unreversed", PROJECTIVE,
+        "rotation-unreversed", DIAGRAMS,
         "for lo, hi in reversed(rows)]",
         "for lo, hi in rows]",
         "the rotation keeps the row order",
@@ -147,14 +148,32 @@ MUTANTS = (
         "cells of D on its diagonal count in m4",
     ),
     Mutant(
-        "short-row-unchecked", PROJECTIVE,
+        "short-row-unchecked", DIAGRAMS,
         "        if hi - lo + 1 < i:\n"
         "            raise IndexOutOfRange(f\"row {r} has only {hi - lo + 1} cells, need {i}\")\n",
         "",
         "a row shorter than i gets an arm-(i-1) cell left of the row",
     ),
     Mutant(
-        "no-rising-check", "src/hookpair/diagrams.py",
+        "arm-slice-column-short", DIAGRAMS,
+        "cells.append((r, hi - i + 1))",
+        "cells.append((r, hi - i))",
+        "the arm slice takes the arm-i cell of each row instead of the arm-(i-1) one",
+    ),
+    Mutant(
+        "t1star-split-wide", DIAGRAMS,
+        "min(hi, n - ak)",
+        "min(hi, n - ak + 1)",
+        "T1star keeps one column of T2star",
+    ),
+    Mutant(
+        "stats-measure-whole-shape", DIAGRAMS,
+        "enumerate(zip(rows, part), 1)",
+        "enumerate(zip(rows, rows), 1)",
+        "the (arm, leg) table of a part holds every cell of its shape",
+    ),
+    Mutant(
+        "no-rising-check", DIAGRAMS,
         "        if prev_lo is not None and (lo < prev_lo or hi < prev_hi):\n"
         "            raise NotRising(",
         "        if False:\n"
