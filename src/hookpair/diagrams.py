@@ -3,7 +3,8 @@
 Rows are indexed from the bottom starting at 1 and columns from the left
 starting at 1, so the cell (i, j) sits in row i, column j. All statistics
 are exact integers. Multisets are ``collections.Counter`` maps, keyed by
-(arm, leg) pairs or by hook lengths.
+(arm, leg) pairs or by hook lengths; inside a rising shape an (arm, leg)
+multiset can also be kept as a run map (``_rising_runs``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ Cell = tuple[int, int]
 
 # {(r, c): (arm, leg)} over the cells of a region, in row-major order
 StatTable = dict[Cell, tuple[int, int]]
+
+# {(leg, arm): step}: an (arm, leg) multiset as runs of consecutive arms
+# (``_rising_runs``)
+RunMap = dict[tuple[int, int], int]
 
 REGION_KINDS = ("D", "R", "T", "V", "SQ", "Tstar", "R1", "R2", "T1star", "T2star")
 
@@ -239,7 +244,7 @@ class CellSet:
     def is_skew_valid(self) -> bool:
         """True when every occupied row is contiguous and both edges rise with the row."""
         try:
-            _rising_leg([(lo, hi) for _, lo, hi in self.row_intervals()])
+            _check_rising([(lo, hi) for _, lo, hi in self.row_intervals()])
         except (NotContiguous, NotRising):
             return False
         return True
@@ -349,20 +354,15 @@ def build_region(p: Partition, kind: str) -> CellSet:
     return CellSet.from_row_intervals(dict(enumerate(_region_rows(p, kind), 1)))
 
 
-def _rising_leg(rows: list[tuple[int, int]]) -> Callable[[int, int], int]:
-    """leg(r, c) of the cells of a rising shape given by its rows' (lo, hi).
-
-    Rising means lo and hi never decrease over the non-empty rows.  Then every
-    non-empty row below a cell starts at or left of it, so its leg is the
-    number of those rows whose hi reaches its column: one bisect on the sorted
-    his.  Its arm is hi - c.  Raises NotRising on any other shape, where that
-    count would be wrong.
-    """
+def _check_rising(rows: list[tuple[int, int]]) -> list[int]:
+    """The hi of every non-empty row, bottom row first, after checking that
+    the shape given by its rows' (lo, hi) rises: lo and hi never decrease
+    over the non-empty rows.  Raises NotRising otherwise.  So the returned
+    row ends are sorted, and every non-empty row below a cell starts at or
+    left of it."""
     his: list[int] = []
-    below: list[int] = []
     prev_lo = prev_hi = None
     for r, (lo, hi) in enumerate(rows, 1):
-        below.append(len(his))
         if lo > hi:
             continue
         if prev_lo is not None and (lo < prev_lo or hi < prev_hi):
@@ -371,6 +371,23 @@ def _rising_leg(rows: list[tuple[int, int]]) -> Callable[[int, int], int]:
             )
         his.append(hi)
         prev_lo, prev_hi = lo, hi
+    return his
+
+
+def _rising_leg(rows: list[tuple[int, int]]) -> Callable[[int, int], int]:
+    """leg(r, c) of the cells of a rising shape given by its rows' (lo, hi).
+
+    The leg is the number of non-empty rows below whose hi reaches the
+    column: one bisect on the sorted his of ``_check_rising``, which raises
+    NotRising on any other shape, where that count would be wrong.  The arm
+    is hi - c.
+    """
+    his = _check_rising(rows)
+    below: list[int] = []
+    count = 0
+    for lo, hi in rows:
+        below.append(count)
+        count += lo <= hi
 
     def leg(r: int, c: int) -> int:
         j = below[r - 1]
@@ -392,6 +409,70 @@ def _rising_stats(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> S
     }
 
 
+def _rising_runs(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> RunMap:
+    """The (arm, leg) multiset of ``_rising_stats(rows, part)`` as a run map.
+
+    Along a row the leg is a step function of the column: it drops by one
+    past each end h of a row below, at column h + 1.  So the row splits into
+    runs of one leg each, at most one more than the rows below it.  A run of
+    leg L over arms a0..a1 is recorded as +1 at (L, a0) and -1 at
+    (L, a1 + 1).  Two sums of such maps are equal exactly when the cells
+    they record hold the same (arm, leg) multiset (``_same_runs``); the
+    cost grows with the rows, not with their widths.
+    """
+    ends = _check_rising(rows)
+    runs: RunMap = {}
+    below = 0
+    for (lo, hi), (lo_p, hi_p) in zip(rows, part):
+        if lo_p <= hi_p:
+            # the ends below that reach lo_p, ascending
+            reach = ends[bisect_left(ends, lo_p, 0, below):below]
+            leg, start = len(reach), lo_p
+            for h in reach:
+                if h >= hi_p:
+                    break
+                if h >= start:
+                    _add_run(runs, leg, hi - h, hi - start)
+                    start = h + 1
+                leg -= 1
+            _add_run(runs, leg, hi - hi_p, hi - start)
+        below += lo <= hi
+    return runs
+
+
+def _add_run(runs: RunMap, leg: int, a0: int, a1: int) -> None:
+    """Record a run of leg ``leg`` over arms a0..a1."""
+    runs[leg, a0] = runs.get((leg, a0), 0) + 1
+    runs[leg, a1 + 1] = runs.get((leg, a1 + 1), 0) - 1
+
+
+def _same_runs(left: list[RunMap], right: list[RunMap]) -> bool:
+    """Whether the cells that the ``left`` run maps record hold the same
+    (arm, leg) multiset as those that the ``right`` ones record."""
+    net: RunMap = {}
+    for sign, maps in ((1, left), (-1, right)):
+        for runs in maps:
+            for key, step in runs.items():
+                net[key] = net.get(key, 0) + sign * step
+    return not any(net.values())
+
+
+def _expand_runs(runs: RunMap) -> Counter:
+    """The (arm, leg) multiset that a run map records, cell by cell."""
+    steps: dict[int, list[tuple[int, int]]] = {}
+    for (leg, arm), step in sorted(runs.items()):
+        steps.setdefault(leg, []).append((arm, step))
+    out: Counter = Counter()
+    for leg, row in steps.items():
+        count = 0
+        for (arm, step), (next_arm, _) in zip(row, row[1:]):
+            count += step
+            if count:
+                for a in range(arm, next_arm):
+                    out[a, leg] = count
+    return out
+
+
 def _region_stats(p: Partition, kind: str) -> StatTable:
     """``_rising_stats`` of a whole region; NotRising for R1 and R2, whose rows fall."""
     rows = _region_rows(p, kind)
@@ -405,15 +486,40 @@ def _rotated_rows(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(cmax + 1 - hi, cmax + 1 - lo) for lo, hi in reversed(rows)]
 
 
-def _arm_slice(rows: list[tuple[int, int]], i: int) -> list[Cell]:
-    """The arm-(i-1) cell (r, hi - i + 1) of every row, as ``arm_slice``
-    picks it; every row must be non-empty and hold at least i cells."""
+def _arm_slice(rows: list[tuple[int, int]], i: int, first: int = 1) -> list[Cell]:
+    """The arm-(i-1) cell (r, hi - i + 1) of every row from row ``first``
+    up, as ``arm_slice`` picks it; each of those rows must hold at least i
+    cells."""
     cells = []
-    for r, (lo, hi) in enumerate(rows, 1):
+    for r, (lo, hi) in enumerate(rows[first - 1 :], first):
         if hi - lo + 1 < i:
             raise IndexOutOfRange(f"row {r} has only {hi - lo + 1} cells, need {i}")
         cells.append((r, hi - i + 1))
     return cells
+
+
+def _arm_slice_legs(
+    rows: list[tuple[int, int]], ends: list[int], i: int, first: int = 1
+) -> list[tuple[int, int, int]]:
+    """(r, c, leg) of the ``_arm_slice`` cells of the rows from ``first`` up
+    of a rising shape, where ``ends`` is what ``_check_rising(rows)``
+    returned.  Rows below ``first`` count in the legs but give no cell.
+
+    The cells' columns never fall with the row and the row ends are sorted,
+    so one pointer that only moves forward counts the rows below each cell
+    that end left of it: one merge per slice, no bisect.  The pointer stops
+    at the cell's own row at the latest, whose end is right of the cell.
+    """
+    cells = _arm_slice(rows, i, first)
+    below = len(ends) - len(cells)  # the non-empty rows below row first
+    left = 0
+    out = []
+    for r, c in cells:
+        while ends[left] < c:
+            left += 1
+        out.append((r, c, below - left))
+        below += 1
+    return out
 
 
 def al_multiset(g: CellSet, e: CellSet | Iterable[Cell]) -> Counter:

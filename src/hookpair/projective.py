@@ -18,6 +18,7 @@ All of it is checked by direct enumeration, never assumed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -25,13 +26,15 @@ from .diagrams import (
     Cell,
     CellSet,
     Partition,
-    _arm_slice,
+    _arm_slice_legs,
+    _check_rising,
+    _expand_runs,
     _region_rows,
     _require_cut,
     _require_int,
-    _rising_leg,
-    _rising_stats,
+    _rising_runs,
     _rotated_rows,
+    _same_runs,
     _verify_command,
     build_region,
     first_multiset_difference,
@@ -241,15 +244,12 @@ def _techprop(b: ClassBPartition, i: int, u: int) -> tuple[bool, ...]:
     Index 0 of alpha is treated as infinity, which makes the clauses that
     would mention it vacuously true (they only arise when u = 1 or u = i).
     """
-
-    def part(j: int) -> float:
-        return math.inf if j == 0 else b.alpha.part(j)
-
+    part = (math.inf,) + b.alpha.parts
     clauses = (
-        u - part(u) > i - 1 and u - 1 - part(u - 1) <= i - 1,
+        u - part[u] > i - 1 and u - 1 - part[u - 1] <= i - 1,
         u > b.m,
-        part(u - i) >= u and part(u - i + 1) <= u,
-        part(u) + i <= part(u - i) and part(u - 1) + i >= part(u - i + 1),
+        part[u - i] >= u and part[u - i + 1] <= u,
+        part[u] + i <= part[u - i] and part[u - 1] + i >= part[u - i + 1],
     )
     return tuple(bool(x) for x in clauses)
 
@@ -303,26 +303,28 @@ def _cut_legs(
     the rows of T and D.
 
     Each leg list (m1 .. m23) holds the legs of its arm-(i-1) cells in row
-    order.  The shifted strip, its rotation and their leg tables depend on
-    u alone, so they are built once per distinct u of the call.
+    order, read by one ``_arm_slice_legs`` merge per slice.  Each shape is
+    checked to rise once, when it is built; the shifted strip and its
+    rotation depend on u alone, so they are built once per distinct u of
+    the call.
     """
     k = b.k
     a1 = b.alpha.part(1)
     diag_t, diag_d = _diagonal_total(b, "T"), _diagonal_total(b, "D")
-    strip_leg, dgm_leg = _rising_leg(strip), _rising_leg(dgm)
+    strip_ends, dgm_ends = _check_rising(strip), _check_rising(dgm)
+    dgm_sums = [r + hi for r, (_, hi) in enumerate(dgm, 1)]
     shifted = {}
     out = []
     for i, u, s in cuts:
         if u not in shifted:
             ti = _shifted_rows(strip, u, a1)
             star = _rotated_rows(ti)
-            shifted[u] = (ti, _rising_leg(ti), star, _rising_leg(star))
-        ti, ti_leg, star, star_leg = shifted[u]
+            shifted[u] = ti, _check_rising(ti), star, _check_rising(star)
+        ti, ti_ends, star, star_ends = shifted[u]
         s_eff = min(s, u)
 
         m1, m11, m12 = [], [], []
-        for r, c in _arm_slice(ti, i):
-            leg = ti_leg(r, c)
+        for r, c, leg in _arm_slice_legs(ti, ti_ends, i):
             m1.append(leg)
             if r + c <= diag_t:
                 m11.append(leg)
@@ -330,8 +332,7 @@ def _cut_legs(
                 m12.append(leg)
 
         m2, m21, m22, m23 = [], [], [], []
-        for r, c in _arm_slice(star, i):
-            leg = star_leg(r, c)
+        for r, c, leg in _arm_slice_legs(star, star_ends, i):
             m2.append(leg)
             if c <= k + 1:
                 m21.append(leg)
@@ -340,13 +341,12 @@ def _cut_legs(
             if r + c > 2 * k + 2:
                 m23.append(leg)
 
-        m3 = [strip_leg(r, c) for r, c in _arm_slice(strip, i) if r + c <= diag_t]
-        # rows of D shorter than i have no arm-(i-1) cell at all
-        m4 = [
-            dgm_leg(r, hi - i + 1)
-            for r, (lo, hi) in enumerate(dgm, 1)
-            if hi - lo + 1 >= i and r + hi - i + 1 > diag_d
-        ]
+        m3 = [leg for r, c, leg in _arm_slice_legs(strip, strip_ends, i) if r + c <= diag_t]
+        # r + hi strictly grows with the row of D, so its arm-(i-1) cells
+        # above its diagonal, r + hi - i + 1 > diag_d, are those of its top
+        # rows; a row shorter than i has r + hi - i + 1 <= r <= k, never above
+        first = bisect_right(dgm_sums, diag_d + i - 1) + 1
+        m4 = [leg for _, _, leg in _arm_slice_legs(dgm, dgm_ends, i, first)]
 
         checks = {
             "m1_vs_m2": _same_legs(m1, m2),
@@ -405,12 +405,6 @@ def _occupied(rows: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
     return [(r, lo, hi) for r, (lo, hi) in enumerate(rows, 1) if lo <= hi]
 
 
-def _al_multiset(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> Counter:
-    """(arm, leg) multiset of the cells of ``part``, row r of which lies
-    inside row r of the rising shape ``rows``."""
-    return Counter(_rising_stats(rows, part).values())
-
-
 def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     """The report of ``projective_report`` and, when it fails, what failed
     first: a multiset difference, else the failing checks of the first
@@ -426,9 +420,9 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     q_d = _above(dgm, _diagonal_total(b, "D"))
 
     same_cells = _occupied(p_sq) == _occupied(p_t)
-    lhs = _al_multiset(sq, p_sq)
-    rhs = _al_multiset(rect, p_r) + _al_multiset(dgm, q_d)
-    identity = lhs == rhs
+    sq_runs = _rising_runs(sq, p_sq)
+    r_runs, d_runs = _rising_runs(rect, p_r), _rising_runs(dgm, q_d)
+    identity = _same_runs([sq_runs], [r_runs, d_runs])
 
     per_i = []
     cuts = []
@@ -462,7 +456,9 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     }
     if verdict:
         return report, None
-    detail = first_multiset_difference(lhs, rhs)
+    detail = first_multiset_difference(
+        _expand_runs(sq_runs), _expand_runs(r_runs) + _expand_runs(d_runs)
+    )
     if detail is not None:
         return report, detail
     for i, clauses, checks in checked:

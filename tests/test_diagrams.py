@@ -2,17 +2,21 @@ from collections import Counter
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from hookpair.diagrams import (
     REGION_KINDS,
     CellSet,
     Partition,
     _decimal,
+    _expand_runs,
     _region_rows,
     _region_stats,
     _require_int,
     _rising_leg,
+    _rising_runs,
     _rising_stats,
+    _same_runs,
     al_multiset,
     arm_prefix,
     arm_slice,
@@ -44,6 +48,7 @@ from util import (
     coleg_by_scan,
     leg_by_scan,
     partitions,
+    plant_one_arm_run,
     skew_valid_by_scan,
     sweep_partitions,
 )
@@ -434,13 +439,92 @@ class TestRegionStats:
                 rows = _region_rows(p, kind)
                 g = build_region(p, kind)
                 scanned = [(x, (arm_by_scan(g, x), leg_by_scan(g, x))) for x in g]
-                for total in range(1, 2 * p.k + p.n + p.part(1) + 1):
-                    below = [(lo, min(hi, total - r)) for r, (lo, hi) in enumerate(rows, 1)]
-                    above = [(max(lo, total - r + 1), hi) for r, (lo, hi) in enumerate(rows, 1)]
-                    for part, keep in ((below, True), (above, False)):
-                        want = [(x, al) for x, al in scanned if (sum(x) <= total) is keep]
-                        got = list(_rising_stats(rows, part).items())
-                        assert got == want, (p, kind, total, keep)
+                for total, keep, part in line_parts(p, rows):
+                    want = [(x, al) for x, al in scanned if (sum(x) <= total) is keep]
+                    got = list(_rising_stats(rows, part).items())
+                    assert got == want, (p, kind, total, keep)
+
+
+def line_parts(p, rows, totals=None):
+    """(total, keep, part) for the part of ``rows`` on or below (keep True)
+    and above (keep False) each line r + c = total, every line by default."""
+    for total in totals or range(1, 2 * p.k + p.n + p.part(1) + 1):
+        yield total, True, [(lo, min(hi, total - r)) for r, (lo, hi) in enumerate(rows, 1)]
+        yield total, False, [(max(lo, total - r + 1), hi) for r, (lo, hi) in enumerate(rows, 1)]
+
+
+class TestRunMaps:
+    """Run maps against the per-cell (arm, leg) tables they stand for."""
+
+    KINDS = ("T", "Tstar", "SQ", "R", "D", "V")
+
+    @staticmethod
+    def expected(rows, part):
+        return Counter(_rising_stats(rows, part).values())
+
+    def assert_lines_expand(self, p, totals=None):
+        for kind in self.KINDS:
+            rows = _region_rows(p, kind)
+            for total, keep, part in line_parts(p, rows, totals):
+                got = _expand_runs(_rising_runs(rows, part))
+                assert got == self.expected(rows, part), (p, kind, total, keep)
+
+    def test_every_line_expands_sweep(self):
+        for p in sweep_partitions(4, 4):
+            self.assert_lines_expand(p)
+
+    def test_whole_regions_expand_sweep(self):
+        for p in sweep_partitions(6, 6):
+            for kind in self.KINDS:
+                rows = _region_rows(p, kind)
+                got = _expand_runs(_rising_runs(rows, rows))
+                assert got == self.expected(rows, rows), (p, kind)
+
+    @given(partitions(max_k=12, max_n=12), st.integers(0, 60))
+    def test_lines_expand_sample(self, p, total):
+        self.assert_lines_expand(p, [total])
+
+    def test_identity_two_holds_on_maps_sweep(self):
+        # (arm, leg) pairs of SQ against those of R and D, compared as maps
+        for p in sweep_partitions(5, 5):
+            sq, rect, dgm = (_region_rows(p, kind) for kind in ("SQ", "R", "D"))
+            right = [_rising_runs(rect, rect), _rising_runs(dgm, dgm)]
+            assert _same_runs([_rising_runs(sq, sq)], right), p
+
+    def test_moved_cell_is_caught(self):
+        p = Partition((4, 2, 1), 3, 4)
+        rows = _region_rows(p, "SQ")
+        runs = _rising_runs(rows, rows)
+        arm, leg = next(iter(_rising_stats(rows, rows).values()))
+        moved = dict(runs)
+        plant_one_arm_run(moved, arm, leg, -1)
+        plant_one_arm_run(moved, arm, leg + 1)
+        assert not _same_runs([moved], [runs])
+        want = self.expected(rows, rows)
+        want[arm, leg] -= 1
+        want[arm, leg + 1] += 1
+        assert _expand_runs(moved) == want
+
+    def test_run_one_arm_too_long_is_caught(self):
+        p = Partition((4, 2, 1), 3, 4)
+        rows = _region_rows(p, "SQ")
+        runs = _rising_runs(rows, rows)
+        # the last run to end: -1 at (leg, end), one past its last arm
+        leg, end = max(key for key, step in runs.items() if step < 0)
+        longer = dict(runs)
+        longer[leg, end] += 1
+        longer[leg, end + 1] = longer.get((leg, end + 1), 0) - 1
+        assert not _same_runs([longer], [runs])
+        want = self.expected(rows, rows)
+        want[end, leg] += 1
+        assert _expand_runs(longer) == want
+
+    def test_falling_regions_rejected(self):
+        p = Partition((6, 5, 3, 1), 4, 6)
+        for kind in ("R1", "R2"):
+            rows = _region_rows(p, kind)
+            with pytest.raises(NotRising):
+                _rising_runs(rows, rows)
 
 
 class TestShapeIdentities:

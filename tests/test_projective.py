@@ -10,6 +10,8 @@ from hookpair.diagrams import (
     CellSet,
     Partition,
     _arm_slice,
+    _arm_slice_legs,
+    _check_rising,
     _region_rows,
     _rising_leg,
     _rotated_rows,
@@ -22,6 +24,7 @@ from hookpair.errors import (
     KindWithoutDiagonal,
     NoShiftRow,
     NotAnInteger,
+    NotRising,
     NotWeaklyDecreasing,
     PartExceedsN,
     WrongN,
@@ -47,6 +50,7 @@ from util import (
     count_region_builds,
     decomposition_reference,
     leg_by_scan,
+    plant_one_arm_run,
     strict_partitions,
 )
 
@@ -339,6 +343,53 @@ class TestRowIntervals:
                 star = _rotated_rows(rows)
                 assert self.assert_scan_statistics(star, note) == ti.rotate180(), note
 
+    def test_arm_slice_legs_match_scans(self):
+        # the strip, D, and every shifted strip and its rotation; from every
+        # row up from which all rows hold at least i cells
+        import hookpair.projective as pj
+
+        for b in family_members(6):
+            p = b.alpha
+            strip = _region_rows(p, "T")
+            shapes = [strip, _region_rows(p, "D")]
+            for u in sorted({u for u, _ in pj._cut_rows(p) if u is not None}):
+                ti = pj._shifted_rows(strip, u, p.part(1))
+                shapes += [ti, _rotated_rows(ti)]
+            for rows in shapes:
+                g = CellSet.from_row_intervals(dict(enumerate(rows, 1)))
+                ends = _check_rising(rows)
+                for i in range(1, b.k + 2):
+                    long = [len(g.row_cols(r)) >= i for r in range(1, len(rows) + 1)]
+                    lowest = long.index(True) + 1 if any(long) else len(rows) + 1
+                    for first in range(lowest, len(rows) + 2):
+                        cells = [(r, g.row_cols(r)[-i]) for r in range(first, len(rows) + 1)]
+                        want = [(r, c, leg_by_scan(g, (r, c))) for r, c in cells]
+                        got = _arm_slice_legs(rows, ends, i, first)
+                        assert got == want, (p, rows, i, first)
+
+    @pytest.mark.parametrize("shape", ["strip", "D", "shifted strip", "rotation"])
+    def test_falling_shapes_rejected(self, monkeypatch, shape):
+        import hookpair.projective as pj
+
+        def falling(make):
+            return lambda *args: list(reversed(make(*args)))
+
+        if shape == "shifted strip":
+            monkeypatch.setattr(pj, "_shifted_rows", falling(pj._shifted_rows))
+        elif shape == "rotation":
+            monkeypatch.setattr(pj, "_rotated_rows", falling(pj._rotated_rows))
+        else:
+            kind = "T" if shape == "strip" else "D"
+            original = pj._region_rows
+            monkeypatch.setattr(
+                pj, "_region_rows",
+                lambda p, k: falling(original)(p, k) if k == kind else original(p, k),
+            )
+        with pytest.raises(NotRising):
+            m_decomposition(SMALL, 1)
+        with pytest.raises(NotRising):
+            projective_report(SMALL)
+
     @pytest.mark.parametrize(
         "b",
         [alpha_from_strict(StrictPartition((3, 1), k=3)),
@@ -508,17 +559,17 @@ class TestProjectiveIdentity:
     def test_failure_names_first_difference_from_one_pass(self, monkeypatch):
         import hookpair.projective as pj
 
-        original = pj._al_multiset
+        original = pj._rising_runs
         shapes = []
 
         def corrupted(rows, part):
             out = original(rows, part)
             shapes.append(len(rows))
             if len(rows) == 2 * SMALL.k:  # SQ, the only region with 2k rows
-                out[(-1, -1)] += 1
+                plant_one_arm_run(out, arm=-1, leg=-1)
             return out
 
-        monkeypatch.setattr(pj, "_al_multiset", corrupted)
+        monkeypatch.setattr(pj, "_rising_runs", corrupted)
         with pytest.raises(CounterexampleFound) as exc:
             verify_projective(SMALL)
         assert exc.value.detail == {"key": (-1, -1), "left": 1, "right": 0}
@@ -565,15 +616,15 @@ class TestProjectiveIdentity:
         import hookpair.projective as pj
         from hookpair.cli import main
 
-        original = pj._al_multiset
+        original = pj._rising_runs
 
         def corrupted(rows, part):
             out = original(rows, part)
             if len(rows) == 2 * SMALL.k:
-                out[(-1, -1)] += 1
+                plant_one_arm_run(out, arm=-1, leg=-1)
             return out
 
-        monkeypatch.setattr(pj, "_al_multiset", corrupted)
+        monkeypatch.setattr(pj, "_rising_runs", corrupted)
         with pytest.raises(CounterexampleFound) as exc:
             verify_projective(SMALL)
         repro = exc.value.case["repro"]

@@ -90,6 +90,38 @@ def test_one_integer_rule():
     assert len(_integer_rule_breaches(probe)) == 3
 
 
+def _not_rising_raises(tree: ast.AST, owner: str = "<module>") -> list[str]:
+    """'owner:line' of every raise of NotRising."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = tree.name
+    found = []
+    if isinstance(tree, ast.Raise) and tree.exc is not None and any(
+        (isinstance(node, ast.Name) and node.id == "NotRising")
+        or (isinstance(node, ast.Attribute) and node.attr == "NotRising")
+        for node in ast.walk(tree.exc)
+    ):
+        found.append(f"{owner}:{tree.lineno}")
+    for child in ast.iter_child_nodes(tree):
+        found.extend(_not_rising_raises(child, owner))
+    return found
+
+
+def test_one_rising_check():
+    # NotRising is raised only by diagrams._check_rising, the one rising
+    # check that every leg count relies on
+    found = [
+        f"{path.name}:{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _not_rising_raises(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert [where.rsplit(":", 1)[0] for where in found] == ["diagrams.py:_check_rising"]
+    probe = ast.parse(
+        "def f(rows):\n    raise NotRising('falls')\n"
+        "def g(rows):\n    raise errors.NotRising(f'row {rows}')\n"
+    )
+    assert len(_not_rising_raises(probe)) == 2
+
+
 def test_package_exports_every_public_name():
     # a name in a module's __all__ is reachable as the same object from hookpair
     modules = [

@@ -113,6 +113,13 @@ def count_calls(monkeypatch, module, name, run):
     return calls
 
 
+def plant_one_arm_run(runs, arm, leg, count=1):
+    """Add ``count`` cells with this (arm, leg) to a run map (remove them
+    when negative), as a run of one arm."""
+    runs[leg, arm] = runs.get((leg, arm), 0) + count
+    runs[leg, arm + 1] = runs.get((leg, arm + 1), 0) - count
+
+
 def arm_by_scan(g, cell):
     r, c = cell
     return sum(1 for rr, cc in g.cells if rr == r and cc > c)

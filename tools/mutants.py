@@ -106,13 +106,13 @@ MUTANTS = (
         "        if u not in shifted:\n"
         "            ti = _shifted_rows(strip, u, a1)\n"
         "            star = _rotated_rows(ti)\n"
-        "            shifted[u] = (ti, _rising_leg(ti), star, _rising_leg(star))\n"
-        "        ti, ti_leg, star, star_leg = shifted[u]\n",
+        "            shifted[u] = ti, _check_rising(ti), star, _check_rising(star)\n"
+        "        ti, ti_ends, star, star_ends = shifted[u]\n",
         "        if i - 1 not in shifted:\n"
         "            ti = _shifted_rows(strip, u, a1)\n"
         "            star = _rotated_rows(ti)\n"
-        "            shifted[i - 1] = (ti, _rising_leg(ti), star, _rising_leg(star))\n"
-        "        ti, ti_leg, star, star_leg = shifted[i - 1]\n",
+        "            shifted[i - 1] = ti, _check_rising(ti), star, _check_rising(star)\n"
+        "        ti, ti_ends, star, star_ends = shifted[i - 1]\n",
         "every cut builds its own shifted strip: the legs stay right, the work does not",
     ),
     Mutant(
@@ -120,13 +120,13 @@ MUTANTS = (
         "        if u not in shifted:\n"
         "            ti = _shifted_rows(strip, u, a1)\n"
         "            star = _rotated_rows(ti)\n"
-        "            shifted[u] = (ti, _rising_leg(ti), star, _rising_leg(star))\n"
-        "        ti, ti_leg, star, star_leg = shifted[u]\n",
+        "            shifted[u] = ti, _check_rising(ti), star, _check_rising(star)\n"
+        "        ti, ti_ends, star, star_ends = shifted[u]\n",
         "        if s not in shifted:\n"
         "            ti = _shifted_rows(strip, u, a1)\n"
         "            star = _rotated_rows(ti)\n"
-        "            shifted[s] = (ti, _rising_leg(ti), star, _rising_leg(star))\n"
-        "        ti, ti_leg, star, star_leg = shifted[s]\n",
+        "            shifted[s] = ti, _check_rising(ti), star, _check_rising(star)\n"
+        "        ti, ti_ends, star, star_ends = shifted[s]\n",
         "cuts with the same split index share one shifted strip",
     ),
     Mutant(
@@ -143,8 +143,8 @@ MUTANTS = (
     ),
     Mutant(
         "m4-cut-inclusive", PROJECTIVE,
-        "r + hi - i + 1 > diag_d",
-        "r + hi - i + 1 >= diag_d",
+        "bisect_right(dgm_sums, diag_d + i - 1)",
+        "bisect_left(dgm_sums, diag_d + i - 1)",
         "cells of D on its diagonal count in m4",
     ),
     Mutant(
@@ -179,6 +179,30 @@ MUTANTS = (
         "        if False:\n"
         "            raise NotRising(",
         "legs of a falling shape are counted by one bisect anyway",
+    ),
+    Mutant(
+        "run-start-off-by-one", DIAGRAMS,
+        "runs[leg, a0] = runs.get((leg, a0), 0) + 1",
+        "runs[leg, a0 + 1] = runs.get((leg, a0 + 1), 0) + 1",
+        "every run of a run map starts one arm late",
+    ),
+    Mutant(
+        "run-breakpoint-at-h", DIAGRAMS,
+        "start = h + 1",
+        "start = h",
+        "the leg drops at the column h of a row end below, not at h + 1",
+    ),
+    Mutant(
+        "run-sign-flipped", PROJECTIVE,
+        "_same_runs([sq_runs], [r_runs, d_runs])",
+        "_same_runs([sq_runs, d_runs], [r_runs])",
+        "the run map of D's part is added to SQ's side, not to R's",
+    ),
+    Mutant(
+        "merge-pointer-inclusive", DIAGRAMS,
+        "while ends[left] < c:",
+        "while ends[left] <= c:",
+        "the merge skips the rows below that end at the cell's own column",
     ),
 )
 
