@@ -43,7 +43,7 @@ print()
 # p-cells (on or below the diagonal) render filled, q-cells hollow.
 for kind in ("D", "T", "SQ"):
     g = build_region(alpha, kind)
-    spec = diagonal_spec(b, kind, g)
+    spec = diagonal_spec(b, kind)
     p_cells, q_cells = split_pq(g, kind, b)
     print(f"{kind}: diagonal r + c <= {spec.total}, "
           f"|p| = {len(p_cells)}, |q| = {len(q_cells)}")

@@ -91,7 +91,7 @@ def _cmd_show(args) -> int:
             raise NotInFamily(
                 "the diagonal split is defined for the n=k+1 Frobenius family"
             )
-        diag = diagonal_spec(b, args.region, g)
+        diag = diagonal_spec(b, args.region)
     marks = None
     if args.dots is not None:
         dots = _require_int(args.dots, "--dots", 1)

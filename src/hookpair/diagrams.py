@@ -13,7 +13,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     CellNotInSet,
@@ -374,56 +374,23 @@ def _check_rising(rows: list[tuple[int, int]]) -> list[int]:
     return his
 
 
-def _rising_leg(rows: list[tuple[int, int]]) -> Callable[[int, int], int]:
-    """leg(r, c) of the cells of a rising shape given by its rows' (lo, hi).
+def _leg_runs(
+    rows: list[tuple[int, int]], part: list[tuple[int, int]]
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """(r, hi, leg, c0, c1) of each run of the cells of ``part``, measured in
+    the rising shape ``rows``: row by row from the bottom, left to right.
+    Row r of ``part`` must lie inside row r of ``rows``, whose end is hi.
 
-    The leg is the number of non-empty rows below whose hi reaches the
-    column: one bisect on the sorted his of ``_check_rising``, which raises
-    NotRising on any other shape, where that count would be wrong.  The arm
-    is hi - c.
-    """
-    his = _check_rising(rows)
-    below: list[int] = []
-    count = 0
-    for lo, hi in rows:
-        below.append(count)
-        count += lo <= hi
-
-    def leg(r: int, c: int) -> int:
-        j = below[r - 1]
-        return j - bisect_left(his, c, 0, j)
-
-    return leg
-
-
-def _rising_stats(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> StatTable:
-    """{(r, c): (arm, leg)} of the cells of ``part``, in row-major order,
-    measured in the rising shape ``rows``; row r of ``part`` must lie inside
-    row r of ``rows``.  The arm is hi - c, the leg one ``_rising_leg`` bisect.
-    """
-    leg = _rising_leg(rows)
-    return {
-        (r, c): (hi - c, leg(r, c))
-        for r, ((_, hi), (lo_p, hi_p)) in enumerate(zip(rows, part), 1)
-        for c in range(lo_p, hi_p + 1)
-    }
-
-
-def _rising_runs(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> RunMap:
-    """The (arm, leg) multiset of ``_rising_stats(rows, part)`` as a run map.
-
-    Along a row the leg is a step function of the column: it drops by one
-    past each end h of a row below, at column h + 1.  So the row splits into
-    runs of one leg each, at most one more than the rows below it.  A run of
-    leg L over arms a0..a1 is recorded as +1 at (L, a0) and -1 at
-    (L, a1 + 1).  Two sums of such maps are equal exactly when the cells
-    they record hold the same (arm, leg) multiset (``_same_runs``); the
-    cost grows with the rows, not with their widths.
+    The leg is the number of non-empty rows below whose end reaches the
+    column.  Along a row it is a step function of the column: it drops by
+    one past each end h of a row below, at column h + 1.  So the row splits
+    into runs c0..c1 of one leg each, at most one more than the rows below
+    it.  The ends come from ``_check_rising``, which raises NotRising on any
+    other shape, where that count would be wrong.
     """
     ends = _check_rising(rows)
-    runs: RunMap = {}
     below = 0
-    for (lo, hi), (lo_p, hi_p) in zip(rows, part):
+    for r, ((lo, hi), (lo_p, hi_p)) in enumerate(zip(rows, part), 1):
         if lo_p <= hi_p:
             # the ends below that reach lo_p, ascending
             reach = ends[bisect_left(ends, lo_p, 0, below):below]
@@ -432,18 +399,39 @@ def _rising_runs(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> Ru
                 if h >= hi_p:
                     break
                 if h >= start:
-                    _add_run(runs, leg, hi - h, hi - start)
+                    yield r, hi, leg, start, h
                     start = h + 1
                 leg -= 1
-            _add_run(runs, leg, hi - hi_p, hi - start)
+            yield r, hi, leg, start, hi_p
         below += lo <= hi
+
+
+def _rising_stats(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> StatTable:
+    """{(r, c): (arm, leg)} of the cells of ``part``, in row-major order,
+    measured in the rising shape ``rows``: the ``_leg_runs`` of ``part``
+    cell by cell, with arm hi - c.
+    """
+    return {
+        (r, c): (hi - c, leg)
+        for r, hi, leg, c0, c1 in _leg_runs(rows, part)
+        for c in range(c0, c1 + 1)
+    }
+
+
+def _rising_runs(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> RunMap:
+    """The (arm, leg) multiset of ``_rising_stats(rows, part)`` as a run map.
+
+    A ``_leg_runs`` run of leg L over arms a0..a1 is recorded as +1 at
+    (L, a0) and -1 at (L, a1 + 1).  Two sums of such maps are equal exactly
+    when the cells they record hold the same (arm, leg) multiset
+    (``_same_runs``); the cost grows with the rows, not with their widths.
+    """
+    runs: RunMap = {}
+    for _, hi, leg, c0, c1 in _leg_runs(rows, part):
+        a0, a1 = hi - c1, hi - c0
+        runs[leg, a0] = runs.get((leg, a0), 0) + 1
+        runs[leg, a1 + 1] = runs.get((leg, a1 + 1), 0) - 1
     return runs
-
-
-def _add_run(runs: RunMap, leg: int, a0: int, a1: int) -> None:
-    """Record a run of leg ``leg`` over arms a0..a1."""
-    runs[leg, a0] = runs.get((leg, a0), 0) + 1
-    runs[leg, a1 + 1] = runs.get((leg, a1 + 1), 0) - 1
 
 
 def _same_runs(left: list[RunMap], right: list[RunMap]) -> bool:
@@ -500,9 +488,9 @@ def _arm_slice(rows: list[tuple[int, int]], i: int, first: int = 1) -> list[Cell
 
 def _arm_slice_legs(
     rows: list[tuple[int, int]], ends: list[int], i: int, first: int = 1
-) -> list[tuple[int, int, int]]:
-    """(r, c, leg) of the ``_arm_slice`` cells of the rows from ``first`` up
-    of a rising shape, where ``ends`` is what ``_check_rising(rows)``
+) -> list[int]:
+    """The legs of the ``_arm_slice`` cells of the rows from ``first`` up of
+    a rising shape, in row order, where ``ends`` is what ``_check_rising(rows)``
     returned.  Rows below ``first`` count in the legs but give no cell.
 
     The cells' columns never fall with the row and the row ends are sorted,
@@ -514,10 +502,10 @@ def _arm_slice_legs(
     below = len(ends) - len(cells)  # the non-empty rows below row first
     left = 0
     out = []
-    for r, c in cells:
+    for _, c in cells:
         while ends[left] < c:
             left += 1
-        out.append((r, c, below - left))
+        out.append(below - left)
         below += 1
     return out
 

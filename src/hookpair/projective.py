@@ -36,7 +36,6 @@ from .diagrams import (
     _rotated_rows,
     _same_runs,
     _verify_command,
-    build_region,
     first_multiset_difference,
 )
 from .errors import (
@@ -155,26 +154,24 @@ class DiagonalSpec:
 
 
 def _diagonal_total(b: ClassBPartition, kind: str) -> int:
-    k = b.k
-    a1 = b.alpha.part(1)
-    ak = b.alpha.part(k)
-    sums = {
-        "D": k + 1,
-        "R": k + 1,
-        "T": k + a1 + 1,
-        "SQ": k + a1 + 1,
-        "Tstar": 2 * k + 2 - ak,
-    }
-    if kind not in sums:
-        raise KindWithoutDiagonal(f"region {kind!r} has no diagonal")
-    return sums[kind]
+    if kind in ("D", "R"):
+        return b.k + 1
+    if kind in ("T", "SQ"):
+        return b.k + b.alpha.parts[0] + 1
+    if kind == "Tstar":
+        return 2 * b.k + 2 - b.alpha.parts[-1]
+    raise KindWithoutDiagonal(f"region {kind!r} has no diagonal")
 
 
-def diagonal_spec(b: ClassBPartition, kind: str, g: CellSet | None = None) -> DiagonalSpec:
+def diagonal_spec(b: ClassBPartition, kind: str) -> DiagonalSpec:
+    """The diagonal of one region, read off its rows: row r holds at most
+    the cell (r, total - r) of the line."""
     total = _diagonal_total(b, kind)
-    if g is None:
-        g = build_region(b.alpha, kind)
-    cells = tuple(sorted(c for c in g if c[0] + c[1] == total))
+    cells = tuple(
+        (r, total - r)
+        for r, (lo, hi) in enumerate(_region_rows(b.alpha, kind), 1)
+        if lo <= total - r <= hi
+    )
     return DiagonalSpec(kind, total, cells)
 
 
@@ -293,6 +290,11 @@ def _same_legs(a, b) -> bool:
     return sorted(a) == sorted(b)
 
 
+def _row_sums(rows: list[tuple[int, int]]) -> list[int]:
+    """r + hi of every row r."""
+    return [r + hi for r, (_, hi) in enumerate(rows, 1)]
+
+
 def _cut_legs(
     b: ClassBPartition,
     cuts: list[tuple[int, int, int]],
@@ -303,50 +305,42 @@ def _cut_legs(
     the rows of T and D.
 
     Each leg list (m1 .. m23) holds the legs of its arm-(i-1) cells in row
-    order, read by one ``_arm_slice_legs`` merge per slice.  Each shape is
+    order, read by one ``_arm_slice_legs`` merge per slice.  Along a slice
+    the column c = hi - i + 1 never falls and r + c strictly rises, so each
+    piece is a run of its slice that ends where c or r + c passes a bound:
+    one bisect on the row ends, or on the sums r + hi.  Each shape is
     checked to rise once, when it is built; the shifted strip and its
     rotation depend on u alone, so they are built once per distinct u of
     the call.
     """
     k = b.k
-    a1 = b.alpha.part(1)
+    a1 = b.alpha.parts[0]
     diag_t, diag_d = _diagonal_total(b, "T"), _diagonal_total(b, "D")
     strip_ends, dgm_ends = _check_rising(strip), _check_rising(dgm)
-    dgm_sums = [r + hi for r, (_, hi) in enumerate(dgm, 1)]
+    strip_sums, dgm_sums = _row_sums(strip), _row_sums(dgm)
     shifted = {}
     out = []
     for i, u, s in cuts:
         if u not in shifted:
             ti = _shifted_rows(strip, u, a1)
             star = _rotated_rows(ti)
-            shifted[u] = ti, _check_rising(ti), star, _check_rising(star)
-        ti, ti_ends, star, star_ends = shifted[u]
+            shifted[u] = [(rows, _check_rising(rows), _row_sums(rows)) for rows in (ti, star)]
+        (ti, ti_ends, ti_sums), (star, star_ends, star_sums) = shifted[u]
         s_eff = min(s, u)
-
-        m1, m11, m12 = [], [], []
-        for r, c, leg in _arm_slice_legs(ti, ti_ends, i):
-            m1.append(leg)
-            if r + c <= diag_t:
-                m11.append(leg)
-            else:
-                m12.append(leg)
-
-        m2, m21, m22, m23 = [], [], [], []
-        for r, c, leg in _arm_slice_legs(star, star_ends, i):
-            m2.append(leg)
-            if c <= k + 1:
-                m21.append(leg)
-            if c > k + 1 and r + c <= 2 * k + 2:
-                m22.append(leg)
-            if r + c > 2 * k + 2:
-                m23.append(leg)
-
-        m3 = [leg for r, c, leg in _arm_slice_legs(strip, strip_ends, i) if r + c <= diag_t]
-        # r + hi strictly grows with the row of D, so its arm-(i-1) cells
-        # above its diagonal, r + hi - i + 1 > diag_d, are those of its top
-        # rows; a row shorter than i has r + hi - i + 1 <= r <= k, never above
+        m1 = _arm_slice_legs(ti, ti_ends, i)
+        j = bisect_right(ti_sums, diag_t + i - 1)
+        m11, m12 = m1[:j], m1[j:]
+        # no row of the rotation is empty, so its ends list every row; and
+        # r <= k, so a cell with c <= k + 1 has r + c <= 2k + 1: m21 ends
+        # before m23 starts
+        m2 = _arm_slice_legs(star, star_ends, i)
+        j21, j23 = bisect_right(star_ends, k + i), bisect_right(star_sums, 2 * k + 1 + i)
+        m21, m22, m23 = m2[:j21], m2[j21:j23], m2[j23:]
+        m3 = _arm_slice_legs(strip, strip_ends, i)[: bisect_right(strip_sums, diag_t + i - 1)]
+        # a row of D shorter than i has r + hi - i + 1 <= r <= k, never above
+        # its diagonal, so m4's rows are the top ones
         first = bisect_right(dgm_sums, diag_d + i - 1) + 1
-        m4 = [leg for _, _, leg in _arm_slice_legs(dgm, dgm_ends, i, first)]
+        m4 = _arm_slice_legs(dgm, dgm_ends, i, first)
 
         checks = {
             "m1_vs_m2": _same_legs(m1, m2),
@@ -424,29 +418,31 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     r_runs, d_runs = _rising_runs(rect, p_r), _rising_runs(dgm, q_d)
     identity = _same_runs([sq_runs], [r_runs, d_runs])
 
+    table = _cut_rows(alpha)
+    cuts = [(i, u, s) for i, (u, s) in enumerate(table, 1) if u is not None]
+    results = iter(_cut_legs(b, cuts, strip, dgm))
     per_i = []
-    cuts = []
-    for i, (u, s) in enumerate(_cut_rows(alpha), 1):
+    first_bad = None
+    for i, (u, s) in enumerate(table, 1):
         if u is None:
             per_i.append(
                 {"i": i, "u": None, "s": None, "techprop": None,
                  "mChecks": "skipped"}
             )
-        else:
-            per_i.append({"i": i, "u": u, "s": s})
-            cuts.append((i, u, s))
-    checked = []
-    results = _cut_legs(b, cuts, strip, dgm)
-    for (i, u, _), (_, _, checks) in zip(cuts, results):
+            continue
+        _, _, checks = next(results)
         clauses = _techprop(b, i, u)
-        checked.append((i, clauses, checks))
-        per_i[i - 1].update(
-            techprop=list(clauses),
-            mChecks="pass" if all(checks.values()) else "fail",
+        failed = sorted(name for name, ok in checks.items() if not ok)
+        per_i.append(
+            {"i": i, "u": u, "s": s, "techprop": list(clauses),
+             "mChecks": "fail" if failed else "pass"}
         )
+        if not all(clauses):
+            failed.append("techprop")
+        if failed and first_bad is None:
+            first_bad = {"i": i, "failed": failed}
 
-    all_sub = all(all(clauses) and all(checks.values()) for _, clauses, checks in checked)
-    verdict = identity and same_cells and all_sub
+    verdict = identity and same_cells and first_bad is None
     report = {
         "alpha": list(alpha.parts),
         "lambda": list(b.lam.parts),
@@ -461,13 +457,7 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     )
     if detail is not None:
         return report, detail
-    for i, clauses, checks in checked:
-        failed = sorted(name for name, ok in checks.items() if not ok)
-        if not all(clauses):
-            failed.append("techprop")
-        if failed:
-            return report, {"i": i, "failed": failed}
-    return report, {"sameCells": False}
+    return report, first_bad or {"sameCells": False}
 
 
 def projective_report(b: ClassBPartition) -> dict:

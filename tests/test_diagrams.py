@@ -10,10 +10,10 @@ from hookpair.diagrams import (
     Partition,
     _decimal,
     _expand_runs,
+    _leg_runs,
     _region_rows,
     _region_stats,
     _require_int,
-    _rising_leg,
     _rising_runs,
     _rising_stats,
     _same_runs,
@@ -374,6 +374,8 @@ class TestRegions:
 
 
 class TestRisingLeg:
+    """Legs in rising shapes, read by the ``_leg_runs`` row walk."""
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -386,20 +388,43 @@ class TestRisingLeg:
     )
     def test_falling_rows_rejected(self, rows):
         with pytest.raises(NotRising):
-            _rising_leg(rows)
+            _rising_stats(rows, rows)
 
     def test_mirrored_rectangle_halves_rejected(self):
         p = Partition((6, 5, 3, 1), 4, 6)
         for kind in ("R1", "R2"):
+            rows = _region_rows(p, kind)
             with pytest.raises(NotRising):
-                _rising_leg(_region_rows(p, kind))
+                _rising_stats(rows, rows)
 
     def test_empty_rows_are_skipped(self):
         rows = [(1, 0), (1, 2), (9, 3), (2, 4), (5, 4), (2, 6)]
         g = CellSet.from_row_intervals(dict(enumerate(rows, 1)))
-        leg = _rising_leg(rows)
-        for r, c in g:
-            assert leg(r, c) == leg_by_scan(g, (r, c)), (r, c)
+        stats = _rising_stats(rows, rows)
+        assert list(stats) == list(g)
+        for (r, c), (_, leg) in stats.items():
+            assert leg == leg_by_scan(g, (r, c)), (r, c)
+
+    def test_runs_tile_rows_sweep(self):
+        # the runs of each row of a part follow one another from its left
+        # end to its right end, and each run's leg is that of its cells
+        kinds = [kind for kind in REGION_KINDS if kind not in ("R1", "R2")]
+        for p in sweep_partitions(5, 5):
+            for kind in kinds:
+                rows = _region_rows(p, kind)
+                g = build_region(p, kind)
+                legs = {x: leg_by_scan(g, x) for x in g}
+                lines = line_parts(p, rows, [p.k + 1, p.k + p.part(1) + 1])
+                for part in [rows] + [part for _, _, part in lines]:
+                    ends = {}  # row: one past the last column its runs cover
+                    for r, hi, leg, c0, c1 in _leg_runs(rows, part):
+                        assert r >= max(ends, default=1) and hi == rows[r - 1][1]
+                        assert c0 == ends.get(r, part[r - 1][0]) and c0 <= c1
+                        ends[r] = c1 + 1
+                        for c in range(c0, c1 + 1):
+                            assert leg == legs[r, c], (p, kind, r, c)
+                    want = {r: hi + 1 for r, (lo, hi) in enumerate(part, 1) if lo <= hi}
+                    assert ends == want, (p, kind, part)
 
 
 class TestRegionStats:

@@ -13,7 +13,7 @@ from hookpair.diagrams import (
     _arm_slice_legs,
     _check_rising,
     _region_rows,
-    _rising_leg,
+    _rising_stats,
     _rotated_rows,
     arm_slice,
     build_region,
@@ -176,6 +176,13 @@ class TestDiagonals:
             p_t, _ = split_pq(strip, "T", b)
             assert p_sq == p_t, b.alpha
 
+    def test_spec_matches_region_scan_sweep(self):
+        for b in family_members(6):
+            for kind in ("D", "R", "T", "SQ", "Tstar"):
+                spec = diagonal_spec(b, kind)
+                cells = sorted(x for x in build_region(b.alpha, kind) if sum(x) == spec.total)
+                assert spec.cells == tuple(cells), (b.alpha, kind)
+
     def test_kinds_without_diagonal(self):
         v = build_region(SMALL.alpha, "V")
         with pytest.raises(KindWithoutDiagonal):
@@ -320,10 +327,10 @@ class TestRowIntervals:
     @staticmethod
     def assert_scan_statistics(rows, note):
         g = CellSet.from_row_intervals(dict(enumerate(rows, 1)))
-        leg = _rising_leg(rows)
-        for r, c in g:
-            got = (rows[r - 1][1] - c, leg(r, c))
-            assert got == (arm_by_scan(g, (r, c)), leg_by_scan(g, (r, c))), (note, r, c)
+        stats = _rising_stats(rows, rows)
+        assert list(stats) == list(g), note
+        for x, got in stats.items():
+            assert got == (arm_by_scan(g, x), leg_by_scan(g, x)), (note, x)
         return g
 
     def test_arm_and_leg_match_scans(self):
@@ -363,7 +370,7 @@ class TestRowIntervals:
                     lowest = long.index(True) + 1 if any(long) else len(rows) + 1
                     for first in range(lowest, len(rows) + 2):
                         cells = [(r, g.row_cols(r)[-i]) for r in range(first, len(rows) + 1)]
-                        want = [(r, c, leg_by_scan(g, (r, c))) for r, c in cells]
+                        want = [leg_by_scan(g, x) for x in cells]
                         got = _arm_slice_legs(rows, ends, i, first)
                         assert got == want, (p, rows, i, first)
 

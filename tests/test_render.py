@@ -35,7 +35,7 @@ class TestRenderAscii:
     def test_diagonal_shading(self):
         b = alpha_from_strict(StrictPartition((1,), k=1))
         g = build_region(b.alpha, "D")
-        out = render_ascii(g, diag=diagonal_spec(b, "D", g))
+        out = render_ascii(g, diag=diagonal_spec(b, "D"))
         assert out == "■ □"
 
     def test_marks_take_precedence(self):

@@ -46,24 +46,42 @@ class Mutant:
     why: str
 
 
+def shift_cache(key: str) -> str:
+    """The shifted-strip cache of ``projective._cut_legs``, keyed by ``key``."""
+    return (
+        f"        if {key} not in shifted:\n"
+        "            ti = _shifted_rows(strip, u, a1)\n"
+        "            star = _rotated_rows(ti)\n"
+        f"            shifted[{key}] = ["
+        "(rows, _check_rising(rows), _row_sums(rows)) for rows in (ti, star)]\n"
+        f"        (ti, ti_ends, ti_sums), (star, star_ends, star_sums) = shifted[{key}]\n"
+    )
+
+
 MUTANTS = (
     Mutant(
         "m11-diagonal-strict", PROJECTIVE,
-        "            if r + c <= diag_t:\n                m11.append(leg)",
-        "            if r + c < diag_t:\n                m11.append(leg)",
+        "bisect_right(ti_sums, diag_t + i - 1)",
+        "bisect_left(ti_sums, diag_t + i - 1)",
         "cells on the strip diagonal move from m11 to m12",
     ),
     Mutant(
         "m22-column-inclusive", PROJECTIVE,
-        "if c > k + 1 and r + c <= 2 * k + 2:",
-        "if c >= k + 1 and r + c <= 2 * k + 2:",
-        "the column k+1 of the rotation counts in m21 and m22",
+        "bisect_right(star_ends, k + i)",
+        "bisect_right(star_ends, k + i - 1)",
+        "the column k+1 of the rotation counts in m22, not in m21",
     ),
     Mutant(
         "m23-diagonal-inclusive", PROJECTIVE,
-        "            if r + c > 2 * k + 2:\n                m23.append(leg)",
-        "            if r + c >= 2 * k + 2:\n                m23.append(leg)",
+        "bisect_right(star_sums, 2 * k + 1 + i)",
+        "bisect_left(star_sums, 2 * k + 1 + i)",
         "cells on the rotated diagonal count in m23",
+    ),
+    Mutant(
+        "m3-diagonal-strict", PROJECTIVE,
+        "bisect_right(strip_sums, diag_t + i - 1)",
+        "bisect_left(strip_sums, diag_t + i - 1)",
+        "cells on the strip diagonal leave m3",
     ),
     Mutant(
         "m12-range-short", PROJECTIVE,
@@ -102,31 +120,11 @@ MUTANTS = (
         "the split index needs alpha_j < i-1 instead of <= i-1",
     ),
     Mutant(
-        "strip-cached-per-cut", PROJECTIVE,
-        "        if u not in shifted:\n"
-        "            ti = _shifted_rows(strip, u, a1)\n"
-        "            star = _rotated_rows(ti)\n"
-        "            shifted[u] = ti, _check_rising(ti), star, _check_rising(star)\n"
-        "        ti, ti_ends, star, star_ends = shifted[u]\n",
-        "        if i - 1 not in shifted:\n"
-        "            ti = _shifted_rows(strip, u, a1)\n"
-        "            star = _rotated_rows(ti)\n"
-        "            shifted[i - 1] = ti, _check_rising(ti), star, _check_rising(star)\n"
-        "        ti, ti_ends, star, star_ends = shifted[i - 1]\n",
+        "strip-cached-per-cut", PROJECTIVE, shift_cache("u"), shift_cache("i - 1"),
         "every cut builds its own shifted strip: the legs stay right, the work does not",
     ),
     Mutant(
-        "strip-cached-under-s", PROJECTIVE,
-        "        if u not in shifted:\n"
-        "            ti = _shifted_rows(strip, u, a1)\n"
-        "            star = _rotated_rows(ti)\n"
-        "            shifted[u] = ti, _check_rising(ti), star, _check_rising(star)\n"
-        "        ti, ti_ends, star, star_ends = shifted[u]\n",
-        "        if s not in shifted:\n"
-        "            ti = _shifted_rows(strip, u, a1)\n"
-        "            star = _rotated_rows(ti)\n"
-        "            shifted[s] = ti, _check_rising(ti), star, _check_rising(star)\n"
-        "        ti, ti_ends, star, star_ends = shifted[s]\n",
+        "strip-cached-under-s", PROJECTIVE, shift_cache("u"), shift_cache("s"),
         "cuts with the same split index share one shifted strip",
     ),
     Mutant(
@@ -170,7 +168,13 @@ MUTANTS = (
         "stats-measure-whole-shape", DIAGRAMS,
         "enumerate(zip(rows, part), 1)",
         "enumerate(zip(rows, rows), 1)",
-        "the (arm, leg) table of a part holds every cell of its shape",
+        "the (arm, leg) table and run map of a part hold every cell of its shape",
+    ),
+    Mutant(
+        "stats-run-last-cell-dropped", DIAGRAMS,
+        "for c in range(c0, c1 + 1)",
+        "for c in range(c0, c1)",
+        "the (arm, leg) table loses the last cell of every run",
     ),
     Mutant(
         "no-rising-check", DIAGRAMS,
@@ -178,7 +182,7 @@ MUTANTS = (
         "            raise NotRising(",
         "        if False:\n"
         "            raise NotRising(",
-        "legs of a falling shape are counted by one bisect anyway",
+        "legs of a falling shape are counted by the row walk anyway",
     ),
     Mutant(
         "run-start-off-by-one", DIAGRAMS,
