@@ -26,10 +26,11 @@ from .diagrams import (
     Partition,
     StatTable,
     _arm_slice,
+    _case,
+    _counterexample,
     _region_rows,
     _region_stats,
     _require_int,
-    _verify_command,
     build_region,
     first_multiset_difference,
     hook_multiset_to_json,
@@ -39,7 +40,6 @@ from .dyck import build_dyck, build_sigma, pair_updown
 from .errors import (
     CellNotInSet,
     CellNotInT,
-    CounterexampleFound,
     DuplicateSource,
     UnknownChoice,
 )
@@ -149,24 +149,20 @@ def phi_map(p: Partition) -> CellMap:
     return CellMap("T", _phi(p, _region_stats(p, "T")))
 
 
-def _column_rows(rows: list[tuple[int, int]], c: int) -> list[int]:
-    """Rows, ascending, whose (lo, hi) interval holds column c."""
-    return [r for r, (lo, hi) in enumerate(rows, 1) if lo <= c <= hi]
-
-
 def _zeta1(p: Partition, sq: StatTable) -> list[MapEntry]:
-    """zeta_map kind 1's entries, with (arm, leg) read from SQ's stat table."""
-    width = p.part(1)
-    v_rows, r1_rows = _region_rows(p, "V"), _region_rows(p, "R1")
+    """zeta_map kind 1's entries, with (arm, leg) read from SQ's stat table.
+
+    V's column c holds rows k+1 .. k+L, where L counts the V rows that start
+    at or before c, and R1's column c - a_1 holds rows k+1-L .. k; so the
+    match from the top sends (r, c) to (r - L, c - a_1).
+    """
+    a1 = p.part(1)
+    v_starts = [lo for lo, _ in _region_rows(p, "V")[p.k :]]
     entries = []
-    for j in range(1, width + 1):
-        src_col = p.n + j
-        dst_col = p.n - width + j
-        src_rows = _column_rows(v_rows, src_col)
-        dst_rows = _column_rows(r1_rows, dst_col)
-        for sr, dr in zip(reversed(src_rows), reversed(dst_rows), strict=True):
-            src = (sr, src_col)
-            entries.append(MapEntry(src, (dr, dst_col), "R", sq[src]))
+    for c in range(p.n + 1, p.n + a1 + 1):
+        L = sum(lo <= c for lo in v_starts)
+        for r in range(p.k + 1, p.k + L + 1):
+            entries.append(MapEntry((r, c), (r - L, c - a1), "R", sq[r, c]))
     return entries
 
 
@@ -367,12 +363,8 @@ def build_certificate(
                 }
             )
 
-    covered = {tag: set() for tag in targets}
-    for tag, cell in seen:
-        if tag in covered:
-            covered[tag].add(cell)
     for tag, (_, members) in images.items():
-        missed = set(members) - covered[tag]
+        missed = set(members) - {cell for t, cell in seen if t == tag}
         if missed:
             failures.append(
                 {"kind": "image-incomplete", "tag": tag, "missing": sorted(missed)}
@@ -412,10 +404,7 @@ def theorem_report(p: Partition, which: int) -> dict:
     oracle_equal = left == right
     verdict = oracle_equal and cert.verdict
     return {
-        "theorem": which,
-        "alpha": list(p.parts),
-        "k": p.k,
-        "n": p.n,
+        **_case(p, which),
         "oracle": {
             "left": sides[0],
             "right": sides[1],
@@ -435,15 +424,7 @@ def verify_theorem(p: Partition, which: int) -> dict:
         if detail is None:
             fails = report["certificate"]["failures"]
             detail = fails[0] if fails else None
-        raise CounterexampleFound(
-            f"identity {which} fails for alpha={p.parts} k={p.k} n={p.n}",
-            case={
-                "alpha": list(p.parts),
-                "k": p.k,
-                "n": p.n,
-                "theorem": which,
-                "repro": _verify_command(p, str(which)),
-            },
-            detail=detail,
+        raise _counterexample(
+            f"identity {which} fails for alpha={p.parts} k={p.k} n={p.n}", p, which, detail
         )
     return report

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     CellNotInSet,
+    CounterexampleFound,
     EmptyField,
     EmptySet,
     IndexOutOfRange,
@@ -131,10 +132,21 @@ def _require_cut(p: Partition, i: int) -> None:
         raise IndexOutOfRange(f"cut parameter i={i} not in 1..{p.n}")
 
 
-def _verify_command(p: Partition, theorem: str) -> str:
-    """The ``hookpair verify`` command line that rechecks one identity on p."""
+def _case(p: Partition, theorem: int | str, extra: dict | None = None) -> dict:
+    """The keys that name one checked case: alpha, k, n, the identity, and
+    any ``extra`` keys."""
+    return {"alpha": list(p.parts), "k": p.k, "n": p.n, "theorem": theorem, **(extra or {})}
+
+
+def _counterexample(
+    message: str, p: Partition, theorem: int | str, detail, extra: dict | None = None
+) -> CounterexampleFound:
+    """The error that reports a failed identity on p: its case is ``_case``
+    plus the ``hookpair verify`` command line that rechecks it."""
     alpha = ",".join(str(a) for a in p.parts)
-    return f"hookpair verify --k {p.k} --n {p.n} --alpha {alpha} --theorem {theorem}"
+    repro = f"hookpair verify --k {p.k} --n {p.n} --alpha {alpha} --theorem {theorem}"
+    case = {**_case(p, theorem, extra), "repro": repro}
+    return CounterexampleFound(message, case=case, detail=detail)
 
 
 def conjugate(p: Partition) -> Partition:

@@ -28,6 +28,7 @@ from .diagrams import (
     Partition,
     _arm_slice_legs,
     _check_rising,
+    _counterexample,
     _expand_runs,
     _region_rows,
     _require_cut,
@@ -35,11 +36,9 @@ from .diagrams import (
     _rising_runs,
     _rotated_rows,
     _same_runs,
-    _verify_command,
     first_multiset_difference,
 )
 from .errors import (
-    CounterexampleFound,
     KindWithoutDiagonal,
     NoShiftRow,
     NotWeaklyDecreasing,
@@ -336,7 +335,8 @@ def _cut_legs(
         m2 = _arm_slice_legs(star, star_ends, i)
         j21, j23 = bisect_right(star_ends, k + i), bisect_right(star_sums, 2 * k + 1 + i)
         m21, m22, m23 = m2[:j21], m2[j21:j23], m2[j23:]
-        m3 = _arm_slice_legs(strip, strip_ends, i)[: bisect_right(strip_sums, diag_t + i - 1)]
+        j3 = bisect_right(strip_sums, diag_t + i - 1)
+        m3 = _arm_slice_legs(strip[:j3], strip_ends[:j3], i)
         # a row of D shorter than i has r + hi - i + 1 <= r <= k, never above
         # its diagonal, so m4's rows are the top ones
         first = bisect_right(dgm_sums, diag_d + i - 1) + 1
@@ -368,17 +368,9 @@ def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
     [(s_eff, legs, checks)] = _cut_legs(b, [(i, u, s)], strip, dgm)
     bad = sorted(name for name, ok in checks.items() if not ok)
     if bad:
-        raise CounterexampleFound(
+        raise _counterexample(
             f"leg decomposition fails for alpha={b.alpha} i={i}: {', '.join(bad)}",
-            case={
-                "alpha": list(b.alpha.parts),
-                "k": b.k,
-                "n": b.n,
-                "theorem": "proj",
-                "i": i,
-                "repro": _verify_command(b.alpha, "proj"),
-            },
-            detail={"failed": bad},
+            b.alpha, "proj", {"failed": bad}, {"i": i},
         )
     counted = {name: Counter(v) for name, v in legs.items()}
     return MDecomposition(i=i, u=u, s=s, s_eff=s_eff, **counted, checks=checks)
@@ -418,19 +410,12 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     r_runs, d_runs = _rising_runs(rect, p_r), _rising_runs(dgm, q_d)
     identity = _same_runs([sq_runs], [r_runs, d_runs])
 
+    # u never falls as i grows, so the cuts with a shift row come first
     table = _cut_rows(alpha)
     cuts = [(i, u, s) for i, (u, s) in enumerate(table, 1) if u is not None]
-    results = iter(_cut_legs(b, cuts, strip, dgm))
     per_i = []
     first_bad = None
-    for i, (u, s) in enumerate(table, 1):
-        if u is None:
-            per_i.append(
-                {"i": i, "u": None, "s": None, "techprop": None,
-                 "mChecks": "skipped"}
-            )
-            continue
-        _, _, checks = next(results)
+    for (i, u, s), (_, _, checks) in zip(cuts, _cut_legs(b, cuts, strip, dgm), strict=True):
         clauses = _techprop(b, i, u)
         failed = sorted(name for name, ok in checks.items() if not ok)
         per_i.append(
@@ -441,6 +426,8 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
             failed.append("techprop")
         if failed and first_bad is None:
             first_bad = {"i": i, "failed": failed}
+    for i in range(len(cuts) + 1, len(table) + 1):
+        per_i.append({"i": i, "u": None, "s": None, "techprop": None, "mChecks": "skipped"})
 
     verdict = identity and same_cells and first_bad is None
     report = {
@@ -476,16 +463,8 @@ def verify_projective(b: ClassBPartition) -> dict:
     """Like projective_report but raises CounterexampleFound on failure."""
     report, detail = _projective_pass(b)
     if detail is not None:
-        raise CounterexampleFound(
-            f"diagonal identity fails for alpha={b.alpha}",
-            case={
-                "alpha": list(b.alpha.parts),
-                "k": b.k,
-                "n": b.n,
-                "theorem": "proj",
-                "repro": _verify_command(b.alpha, "proj"),
-            },
-            detail=detail,
+        raise _counterexample(
+            f"diagonal identity fails for alpha={b.alpha}", b.alpha, "proj", detail
         )
     return report
 

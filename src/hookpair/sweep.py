@@ -18,7 +18,7 @@ from multiprocessing import Pool
 from typing import Iterator
 
 from .bijections import theorem_report
-from .diagrams import Partition, _decimal, _require_int
+from .diagrams import Partition, _case, _decimal, _require_int
 from .errors import UnknownChoice
 from .projective import ClassBPartition, StrictPartition, alpha_from_strict, projective_report
 
@@ -113,14 +113,14 @@ def _case_entry(case: tuple) -> dict:
     """Check one case and return its report entry, verdict included."""
     if case[0] == "box":
         _, t, parts, k, n = case
-        ok = theorem_report(Partition(parts, k, n), _decimal(t))["verdict"] == "pass"
-        entry = {"theorem": t, "alpha": list(parts), "k": k, "n": n}
+        p = Partition(parts, k, n)
+        ok = theorem_report(p, _decimal(t))["verdict"] == "pass"
+        entry = _case(p, t)
     else:
         _, lam_parts, k = case
         b = alpha_from_strict(StrictPartition(lam_parts, k))
         ok = projective_report(b)["theorem"] == "pass"
-        entry = {"theorem": "projective", "alpha": list(b.alpha.parts),
-                 "lambda": list(lam_parts), "k": k, "n": b.n}
+        entry = _case(b.alpha, "projective", {"lambda": list(lam_parts)})
     entry["verdict"] = "pass" if ok else "fail"
     return entry
 

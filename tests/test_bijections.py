@@ -378,6 +378,19 @@ class TestCertificateFailures:
         kinds = {f["kind"] for f in cert.failures}
         assert "not-injective" in kinds and "image-incomplete" in kinds
 
+    def test_image_coverage_is_counted_per_tag(self):
+        # R and D share coordinates, so an image retagged from D to R at the
+        # same cell still lands in R's members but leaves D's cell uncovered
+        sq, rect, dgm = (_region_stats(FIG, kind) for kind in ("SQ", "R", "D"))
+        entries = list(psi_map(FIG))
+        j = next(j for j, e in enumerate(entries) if e.target_tag == "D")
+        moved = entries[j]
+        entries[j] = MapEntry(moved.source, moved.target, "R", moved.al)
+        targets = {"R": (rect, rect), "D": (dgm, dgm)}
+        cert = build_certificate(CellMap("SQ", entries), sq, sq, targets)
+        incomplete = [f for f in cert.failures if f["kind"] == "image-incomplete"]
+        assert incomplete == [{"kind": "image-incomplete", "tag": "D", "missing": [moved.target]}]
+
     def test_duplicate_source_is_a_package_error(self):
         entries = [
             MapEntry((1, 1), (1, 1), "Tstar", (0, 0)),

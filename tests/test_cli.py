@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,15 @@ from pathlib import Path
 import pytest
 
 import hookpair
+import hookpair.bijections as bj
 import hookpair.cli as cli
+import hookpair.projective as pj
+from hookpair.bijections import MapEntry, verify_theorem
+from hookpair.diagrams import Partition
 from hookpair.errors import CounterexampleFound, NotInFamily
+from hookpair.projective import StrictPartition, alpha_from_strict, m_decomposition, verify_projective
+
+from util import plant_one_arm_run
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SHOW_ARGS = ["show", "--k", "1", "--n", "1", "--alpha", "1", "--region", "D"]
@@ -41,6 +49,73 @@ def run_cli(*argv, capsys=None):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+TWO_CELL = Partition((1, 0), k=2, n=1)
+SMALL = alpha_from_strict(StrictPartition((4, 2), k=5))
+SMALL_REPRO = "hookpair verify --k 5 --n 6 --alpha 5,4,2,1,0 --theorem proj"
+
+
+def plant_collision(monkeypatch):
+    """phi sends both strip cells of TWO_CELL to one cell of T*."""
+    collision = [
+        MapEntry((1, 1), (1, 1), "Tstar", (0, 0)),
+        MapEntry((2, 2), (1, 1), "Tstar", (0, 0)),
+    ]
+    monkeypatch.setattr(bj, "_phi", lambda _p, _stats: collision)
+
+
+def plant_extra_run(monkeypatch):
+    """SQ's side of the diagonal identity gains a cell with (arm, leg) (-1, -1)."""
+    original = pj._rising_runs
+
+    def corrupted(rows, part):
+        out = original(rows, part)
+        if len(rows) == 2 * SMALL.k:  # SQ, the only region with 2k rows
+            plant_one_arm_run(out, arm=-1, leg=-1)
+        return out
+
+    monkeypatch.setattr(pj, "_rising_runs", corrupted)
+
+
+def plant_unshifted(monkeypatch):
+    """The shifted strip keeps every row of T where it is."""
+    monkeypatch.setattr(pj, "_shifted_rows", lambda strip, u, a1: list(strip))
+
+
+# raise site: (plant the failure, run the site, the case it must report)
+RAISE_SITES = {
+    "verify_theorem": (
+        plant_collision,
+        lambda: verify_theorem(TWO_CELL, 3),
+        {"alpha": [1, 0], "k": 2, "n": 1, "theorem": 3,
+         "repro": "hookpair verify --k 2 --n 1 --alpha 1,0 --theorem 3"},
+    ),
+    "verify_projective": (
+        plant_extra_run,
+        lambda: verify_projective(SMALL),
+        {"alpha": [5, 4, 2, 1, 0], "k": 5, "n": 6, "theorem": "proj", "repro": SMALL_REPRO},
+    ),
+    "m_decomposition": (
+        plant_unshifted,
+        lambda: m_decomposition(SMALL, 1),
+        {"alpha": [5, 4, 2, 1, 0], "k": 5, "n": 6, "theorem": "proj", "i": 1,
+         "repro": SMALL_REPRO},
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(RAISE_SITES))
+def test_counterexample_case_reproduces(site, monkeypatch, capsys):
+    plant, run, case = RAISE_SITES[site]
+    plant(monkeypatch)
+    with pytest.raises(CounterexampleFound) as exc:
+        run()
+    assert exc.value.case == case
+    # the repro line, run with the failure still planted, fails the same way
+    code, _, err = run_cli(*shlex.split(case["repro"])[1:], capsys=capsys)
+    assert code == 1
+    assert err.splitlines()[-1] == f"reproduce: {case['repro']}"
 
 
 class TestVerify:

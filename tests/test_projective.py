@@ -1,7 +1,6 @@
 """Tests for the n = k+1 family: Frobenius form, diagonals, shifted strips,
 and the decomposition of leg multisets."""
 
-import shlex
 from collections import Counter
 
 import pytest
@@ -618,26 +617,3 @@ class TestProjectiveIdentity:
         with pytest.raises(CounterexampleFound) as exc:
             verify_projective(SMALL)
         assert exc.value.detail == {"sameCells": False}
-
-    def test_failure_carries_repro_command(self, monkeypatch, capsys):
-        import hookpair.projective as pj
-        from hookpair.cli import main
-
-        original = pj._rising_runs
-
-        def corrupted(rows, part):
-            out = original(rows, part)
-            if len(rows) == 2 * SMALL.k:
-                plant_one_arm_run(out, arm=-1, leg=-1)
-            return out
-
-        monkeypatch.setattr(pj, "_rising_runs", corrupted)
-        with pytest.raises(CounterexampleFound) as exc:
-            verify_projective(SMALL)
-        repro = exc.value.case["repro"]
-        assert repro == "hookpair verify --k 5 --n 6 --alpha 5,4,2,1,0 --theorem proj"
-        assert exc.value.case == {
-            "alpha": [5, 4, 2, 1, 0], "k": 5, "n": 6, "theorem": "proj", "repro": repro,
-        }
-        assert main(shlex.split(repro)[1:]) == 1
-        assert capsys.readouterr().err.splitlines()[-1] == f"reproduce: {repro}"

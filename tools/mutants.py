@@ -35,6 +35,7 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
 
 PROJECTIVE = "src/hookpair/projective.py"
 DIAGRAMS = "src/hookpair/diagrams.py"
+BIJECTIONS = "src/hookpair/bijections.py"
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,12 @@ MUTANTS = (
         "bisect_right(strip_sums, diag_t + i - 1)",
         "bisect_left(strip_sums, diag_t + i - 1)",
         "cells on the strip diagonal leave m3",
+    ),
+    Mutant(
+        "m3-ends-unsliced", PROJECTIVE,
+        "_arm_slice_legs(strip[:j3], strip_ends[:j3], i)",
+        "_arm_slice_legs(strip[:j3], strip_ends, i)",
+        "m3's rows are measured against the row ends of the whole strip",
     ),
     Mutant(
         "m12-range-short", PROJECTIVE,
@@ -207,6 +214,30 @@ MUTANTS = (
         "while ends[left] < c:",
         "while ends[left] <= c:",
         "the merge skips the rows below that end at the cell's own column",
+    ),
+    Mutant(
+        "repro-without-theorem", DIAGRAMS,
+        "--alpha {alpha} --theorem {theorem}\"",
+        "--alpha {alpha}\"",
+        "the repro command line of a counterexample does not name its identity",
+    ),
+    Mutant(
+        "counterexample-drops-extra", DIAGRAMS,
+        "{**_case(p, theorem, extra), \"repro\": repro}",
+        "{**_case(p, theorem), \"repro\": repro}",
+        "a counterexample's case loses its extra keys, such as m_decomposition's cut i",
+    ),
+    Mutant(
+        "zeta1-drop-short", BIJECTIONS,
+        "L = sum(lo <= c for lo in v_starts)",
+        "L = sum(lo < c for lo in v_starts)",
+        "zeta_1's row drop L misses the V row that starts at the column",
+    ),
+    Mutant(
+        "coverage-pooled", BIJECTIONS,
+        "{cell for t, cell in seen if t == tag}",
+        "{cell for _, cell in seen}",
+        "a certificate counts an image cell as covered under any tag",
     ),
 )
 
