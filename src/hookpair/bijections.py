@@ -17,8 +17,7 @@ CounterexampleFound on any discrepancy.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .diagrams import (
     Cell,
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MapEntry:
+class MapEntry(NamedTuple):
     source: Cell
     target: Cell
     target_tag: str
@@ -233,8 +231,7 @@ def psi_map(p: Partition) -> CellMap:
     return _psi(p, _region_stats(p, "SQ"))
 
 
-@dataclass(frozen=True)
-class CertRecord:
+class CertRecord(NamedTuple):
     source: Cell
     target: Cell
     target_tag: str
@@ -242,8 +239,7 @@ class CertRecord:
     target_stat: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BijectionCertificate:
+class BijectionCertificate(NamedTuple):
     """Cell-level evidence that a map is bijective and statistic preserving."""
 
     records: tuple[CertRecord, ...]

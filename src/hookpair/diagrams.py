@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -56,30 +55,38 @@ RunMap = dict[tuple[int, int], int]
 REGION_KINDS = ("D", "R", "T", "V", "SQ", "Tstar", "R1", "R2", "T1star", "T2star")
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Checked:
+    """Base of a record whose ``__new__`` checks its fields: ``_make``, and
+    so ``_replace``, build through ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Partition(_Checked, namedtuple("Partition", "parts k n")):
     """Weakly decreasing integer parts, exactly ``k`` of them, each at most ``n``.
 
     Trailing zero parts are kept, so the length is always ``k``.
     """
 
-    parts: tuple[int, ...]
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __new__(cls, parts: Iterable[int], k: int, n: int) -> "Partition":
+        parts = tuple(parts)
         for a in parts:
             _require_int(a, "part")
-        object.__setattr__(self, "parts", parts)
-        _require_int(self.k, "bound k", 1)
-        _require_int(self.n, "bound n", 1)
-        if len(parts) != self.k:
-            raise WrongLength(f"need exactly {self.k} parts, got {len(parts)}")
+        _require_int(k, "bound k", 1)
+        _require_int(n, "bound n", 1)
+        if len(parts) != k:
+            raise WrongLength(f"need exactly {k} parts, got {len(parts)}")
         if any(a < b for a, b in zip(parts, parts[1:])) or parts[-1] < 0:
             raise NotWeaklyDecreasing(f"parts must weakly decrease to 0 or more: {parts}")
-        if parts[0] > self.n:
-            raise PartExceedsN(f"part {parts[0]} exceeds bound n={self.n}")
+        if parts[0] > n:
+            raise PartExceedsN(f"part {parts[0]} exceeds bound n={n}")
+        return super().__new__(cls, parts, k, n)
 
     @classmethod
     def from_text(cls, text: str, k: int, n: int) -> "Partition":

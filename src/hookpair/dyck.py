@@ -12,7 +12,7 @@ canonical matching of up steps with down steps is the permutation computed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagrams import Cell, Partition, _arm_slice, _region_rows, _require_cut, _require_int
 from .errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     """One of the 2k markers placed on the strip: kind 'x' or 'z'."""
 
     kind: str
@@ -41,11 +40,41 @@ class Label:
         return f"{self.kind}{self.index}"
 
 
-@dataclass(frozen=True)
-class SigmaSequence:
+class _Record:
+    """A frozen record of the fields in ``__slots__``, compared and hashed
+    by value and shown with each field named.  Not a tuple, since
+    ``SigmaSequence`` iterates over its labels and ``DyckPath`` counts its
+    steps: a namedtuple's ``_make``, ``_asdict`` and pickling would read
+    those in place of the fields."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class SigmaSequence(_Record):
     """The 2k labels in column order (ties: x before z, then lower row first)."""
 
-    labels: tuple[Label, ...]
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: tuple[Label, ...]):
+        object.__setattr__(self, "labels", labels)
 
     def __iter__(self):
         return iter(self.labels)
@@ -60,12 +89,14 @@ class SigmaSequence:
         return " ".join(str(lab) for lab in self.labels)
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(_Record):
     """Steps (+1 up / -1 down, one per label) and the ordinates y_0..y_2k."""
 
-    steps: tuple[tuple[int, Label], ...]
-    ordinates: tuple[int, ...]
+    __slots__ = ("steps", "ordinates")
+
+    def __init__(self, steps: tuple[tuple[int, Label], ...], ordinates: tuple[int, ...]):
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "ordinates", ordinates)
 
     def __len__(self) -> int:
         return len(self.steps)

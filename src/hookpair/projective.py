@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from typing import Iterable, NamedTuple
 
 from .diagrams import (
     Cell,
     CellSet,
     Partition,
+    _Checked,
     _arm_slice_legs,
     _check_rising,
     _counterexample,
@@ -63,24 +64,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StrictPartition:
+class StrictPartition(_Checked, namedtuple("StrictPartition", "parts k")):
     """A partition with distinct positive parts, largest at most k."""
 
-    parts: tuple[int, ...]
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __new__(cls, parts: Iterable[int], k: int) -> "StrictPartition":
+        parts = tuple(parts)
         for a in parts:
             _require_int(a, "part")
-        object.__setattr__(self, "parts", parts)
-        _require_int(self.k, "bound k", 1)
+        _require_int(k, "bound k", 1)
         if any(a <= b for a, b in zip(parts, parts[1:])):
             raise NotWeaklyDecreasing(f"parts must strictly decrease: {parts}")
         _require_int(min(parts, default=1), "smallest part", 1)
-        if parts and parts[0] > self.k:
-            raise PartExceedsN(f"largest part {parts[0]} exceeds the bound k={self.k}")
+        if parts and parts[0] > k:
+            raise PartExceedsN(f"largest part {parts[0]} exceeds the bound k={k}")
+        return super().__new__(cls, parts, k)
 
     @property
     def m(self) -> int:
@@ -90,8 +89,7 @@ class StrictPartition:
         return "(" + ",".join(str(x) for x in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class ClassBPartition:
+class ClassBPartition(NamedTuple):
     """A bounded partition with n = k+1 whose diagonal hooks have arm
     lengths lambda_j and leg lengths lambda_j - 1."""
 
@@ -142,8 +140,7 @@ def is_class_B(p: Partition) -> ClassBPartition | None:
     return candidate
 
 
-@dataclass(frozen=True)
-class DiagonalSpec:
+class DiagonalSpec(NamedTuple):
     """The anti-diagonal of one region: the line r+c = total, and the region
     cells that lie exactly on it."""
 
@@ -259,8 +256,7 @@ def check_prop_techprop(b: ClassBPartition, i: int) -> dict:
     return {"u": u, "parts": clauses, "all": all(clauses)}
 
 
-@dataclass(frozen=True)
-class MDecomposition:
+class MDecomposition(NamedTuple):
     """Leg multisets of arm-(i-1) cells in the shifted strip, its rotation,
     and the matching parts of T and D, with the checked equalities."""
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
-from multiprocessing import Pool
-from typing import Iterator
+from collections import namedtuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .bijections import theorem_report
-from .diagrams import Partition, _case, _decimal, _require_int
+from .diagrams import Partition, _Checked, _case, _decimal, _require_int
 from .errors import UnknownChoice
 from .projective import ClassBPartition, StrictPartition, alpha_from_strict, projective_report
 
@@ -71,26 +70,28 @@ def enumerate_class_B(k: int) -> Iterator[ClassBPartition]:
         yield alpha_from_strict(StrictPartition(parts, k))
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_k: int
-    max_n: int | None
-    theorems: tuple[str, ...]
-    out: str | None = None
-    jobs: int = 1
+class SweepConfig(_Checked, namedtuple("SweepConfig", "max_k max_n theorems out jobs")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_int(self.max_k, "max_k", 1)
-        _require_int(self.jobs, "jobs", 1)
-        if self.max_n is not None:
-            _require_int(self.max_n, "max_n", 1)
-        if not self.theorems:
+    def __new__(cls, max_k: int, max_n: int | None, theorems: Iterable[str],
+                out: str | None = None, jobs: int = 1) -> "SweepConfig":
+        _require_int(max_k, "max_k", 1)
+        _require_int(jobs, "jobs", 1)
+        if max_n is not None:
+            _require_int(max_n, "max_n", 1)
+        if isinstance(theorems, str):
+            raise UnknownChoice(f"theorems must list identity names, not {theorems!r}")
+        if not theorems:
             raise UnknownChoice("at least one identity must be selected")
-        for t in self.theorems:
+        theorems = tuple(theorems)
+        for t in theorems:
             if t not in THEOREM_NAMES:
                 raise UnknownChoice(f"unknown identity {t!r}")
-        if self.max_n is None and any(t != "projective" for t in self.theorems):
+        if len(set(theorems)) != len(theorems):
+            raise UnknownChoice(f"an identity is named twice in {theorems}")
+        if max_n is None and any(t != "projective" for t in theorems):
             raise UnknownChoice("max_n must be given for box sweeps")
+        return super().__new__(cls, max_k, max_n, theorems, out, jobs)
 
 
 def _enumerate_cases(cfg: SweepConfig) -> list[tuple]:
@@ -125,8 +126,7 @@ def _case_entry(case: tuple) -> dict:
     return entry
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     config: SweepConfig
     cases: tuple[dict, ...]
     counts: dict[str, int]
@@ -174,6 +174,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     cases = _enumerate_cases(cfg)
     workers = _worker_count(cfg.jobs, len(cases))
     if workers > 1:
+        from multiprocessing import Pool  # here, so a serial sweep never loads it
+
         with Pool(workers) as pool:
             entries = pool.map(_case_entry, cases, chunksize=16)
     else:

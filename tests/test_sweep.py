@@ -106,14 +106,26 @@ class TestSweepConfig:
             (3, (), "at least one identity must be selected"),
             (3, ("4",), "unknown identity '4'"),
             (None, ("projective", "1"), "max_n must be given for box sweeps"),
+            # a string used to be read letter by letter: "12" swept 1 and 2
+            (3, "12", "theorems must list identity names, not '12'"),
+            (None, "projective", "theorems must list identity names, not 'projective'"),
+            (3, ("1", "1"), "an identity is named twice in ('1', '1')"),
+            (None, ("projective", "projective"),
+             "an identity is named twice in ('projective', 'projective')"),
         ],
-        ids=["none", "unknown", "box-without-n"],
+        ids=["none", "unknown", "box-without-n", "string", "string-projective",
+             "repeated", "repeated-projective"],
     )
     def test_choice_errors_are_package_errors(self, max_n, theorems, message):
         with pytest.raises(HookpairError) as exc:
             SweepConfig(max_k=3, max_n=max_n, theorems=theorems)
         assert isinstance(exc.value, UnknownChoice)
         assert str(exc.value) == message
+
+    def test_names_are_kept_as_a_tuple(self):
+        cfg = SweepConfig(max_k=2, max_n=2, theorems=["2", "1"])
+        assert cfg.theorems == ("2", "1") and hash(cfg) == hash(cfg._replace())
+        assert run_sweep(cfg).counts == {"1": 14, "2": 14}
 
     def test_projective_needs_no_n(self):
         cfg = SweepConfig(max_k=3, max_n=None, theorems=("projective",))

@@ -122,6 +122,70 @@ def test_one_rising_check():
     assert len(_not_rising_raises(probe)) == 2
 
 
+# dataclasses loads inspect, and only a sweep that starts workers needs
+# multiprocessing: a single ``hookpair verify`` should pay for none of them
+HEAVY_MODULES = {"dataclasses", "inspect", "multiprocessing"}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code, with this
+    package first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["hookpair", "hookpair.cli"])
+def test_import_loads_no_heavy_modules(module):
+    # measured against a bare interpreter, so a site hook that loads one of
+    # them anyway does not count
+    added = _modules_after(f"import {module}") - _modules_after("")
+    assert module in added
+    assert sorted(added & HEAVY_MODULES) == []
+
+
+def _heavy_imports(tree: ast.AST, in_function: bool = False) -> list[str]:
+    """'line: module' of every dataclasses import, and of every
+    multiprocessing import outside a function."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        in_function = True
+    found = []
+    if isinstance(tree, ast.Import):
+        names = [alias.name for alias in tree.names]
+    elif isinstance(tree, ast.ImportFrom):
+        names = [tree.module or ""]
+    else:
+        names = []
+    for name in names:
+        top = name.split(".")[0]
+        if top == "dataclasses" or (top == "multiprocessing" and not in_function):
+            found.append(f"{tree.lineno}: {name}")
+    for child in ast.iter_child_nodes(tree):
+        found.extend(_heavy_imports(child, in_function))
+    return found
+
+
+def test_no_heavy_module_imports_in_source():
+    found = [
+        f"{path.name}:{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in _heavy_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+    probe = ast.parse(
+        "import dataclasses\nfrom multiprocessing.pool import Pool\n"
+        "if True:\n    import multiprocessing\n"
+        "def f():\n    from multiprocessing import Pool\n    from dataclasses import field\n"
+    )
+    assert len(_heavy_imports(probe)) == 4
+
+
 def test_package_exports_every_public_name():
     # a name in a module's __all__ is reachable as the same object from hookpair
     modules = [

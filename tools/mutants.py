@@ -36,6 +36,7 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
 PROJECTIVE = "src/hookpair/projective.py"
 DIAGRAMS = "src/hookpair/diagrams.py"
 BIJECTIONS = "src/hookpair/bijections.py"
+SWEEP = "src/hookpair/sweep.py"
 
 
 @dataclass(frozen=True)
@@ -238,6 +239,25 @@ MUTANTS = (
         "{cell for t, cell in seen if t == tag}",
         "{cell for _, cell in seen}",
         "a certificate counts an image cell as covered under any tag",
+    ),
+    Mutant(
+        "pool-at-module-top", SWEEP,
+        "import time\n",
+        "import time\nfrom multiprocessing import Pool\n",
+        "every import of hookpair loads multiprocessing, which only a parallel sweep uses",
+    ),
+    Mutant(
+        "partition-make-unchecked", DIAGRAMS,
+        "class Partition(_Checked, namedtuple(",
+        "class Partition(namedtuple(",
+        "Partition._make and _replace build a partition without its checks",
+    ),
+    Mutant(
+        "sweep-theorems-duplicates", SWEEP,
+        "        if len(set(theorems)) != len(theorems):\n"
+        "            raise UnknownChoice(f\"an identity is named twice in {theorems}\")\n",
+        "",
+        "a sweep that names an identity twice checks each of its cases twice",
     ),
 )
 
