@@ -453,14 +453,13 @@ def _rising_runs(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> Ru
     return runs
 
 
-def _same_runs(left: list[RunMap], right: list[RunMap]) -> bool:
-    """Whether the cells that the ``left`` run maps record hold the same
+def _same_runs(left: RunMap, right: list[RunMap]) -> bool:
+    """Whether the cells that the run map ``left`` records hold the same
     (arm, leg) multiset as those that the ``right`` ones record."""
-    net: RunMap = {}
-    for sign, maps in ((1, left), (-1, right)):
-        for runs in maps:
-            for key, step in runs.items():
-                net[key] = net.get(key, 0) + sign * step
+    net = dict(left)
+    for runs in right:
+        for key, step in runs.items():
+            net[key] = net.get(key, 0) - step
     return not any(net.values())
 
 
@@ -512,16 +511,19 @@ def _arm_slice_legs(
     a rising shape, in row order, where ``ends`` is what ``_check_rising(rows)``
     returned.  Rows below ``first`` count in the legs but give no cell.
 
-    The cells' columns never fall with the row and the row ends are sorted,
-    so one pointer that only moves forward counts the rows below each cell
-    that end left of it: one merge per slice, no bisect.  The pointer stops
-    at the cell's own row at the latest, whose end is right of the cell.
+    The leg of the cell in column c = hi - i + 1 is the number of non-empty
+    rows below it less those that end left of c.  The row ends are sorted
+    and c never falls with the row, so one pointer that only moves forward
+    counts those; it stops at the cell's own row at the latest.
     """
-    cells = _arm_slice(rows, i, first)
-    below = len(ends) - len(cells)  # the non-empty rows below row first
+    below = len(ends) - len(rows) + first - 1  # the non-empty rows below row first
     left = 0
     out = []
-    for _, c in cells:
+    for lo, hi in rows[first - 1 :]:
+        if hi - lo + 1 < i:
+            r = first + len(out)
+            raise IndexOutOfRange(f"row {r} has only {hi - lo + 1} cells, need {i}")
+        c = hi - i + 1
         while ends[left] < c:
             left += 1
         out.append(below - left)

@@ -110,18 +110,16 @@ def alpha_from_strict(l: StrictPartition) -> ClassBPartition:
     """Build the member of the family with diagonal arm lengths l.
 
     The first m parts are lambda_j + j; below the diagonal, row t holds one
-    cell for every column c <= m whose length lambda_c + c - 1 reaches t.
+    cell for every column c <= m whose length lambda_c + c - 1 reaches t;
+    those lengths never rise with c, so these are the first columns.
     """
-    k = l.k
-    parts = []
-    for j in range(1, k + 1):
-        if j <= l.m:
-            parts.append(l.parts[j - 1] + j)
-        else:
-            parts.append(
-                sum(1 for c in range(1, l.m + 1) if l.parts[c - 1] + c - 1 >= j)
-            )
-    alpha = Partition(tuple(parts), k=k, n=k + 1)
+    lam, c = l.parts, l.m
+    parts = [x + j for j, x in enumerate(lam, 1)]
+    for t in range(l.m + 1, l.k + 1):
+        while c and lam[c - 1] + c - 1 < t:
+            c -= 1
+        parts.append(c)
+    alpha = Partition(tuple(parts), k=l.k, n=l.k + 1)
     return ClassBPartition(alpha, l, l.m)
 
 
@@ -231,20 +229,19 @@ def shift_Ti(b: ClassBPartition, i: int) -> tuple[CellSet, int | None]:
     return CellSet.from_row_intervals(dict(enumerate(rows, 1))), u
 
 
-def _techprop(b: ClassBPartition, i: int, u: int) -> tuple[bool, ...]:
-    """The four inequality pairs at cut i with shift row u.
+def _techprop(part: tuple, m: int, i: int, u: int) -> tuple[bool, ...]:
+    """The four inequality pairs at cut i with shift row u, given m and
+    ``part``, the parts of alpha after an infinite part 0.
 
-    Index 0 of alpha is treated as infinity, which makes the clauses that
-    would mention it vacuously true (they only arise when u = 1 or u = i).
+    The infinite part makes the clauses that would mention it vacuously
+    true (they only arise when u = 1 or u = i).
     """
-    part = (math.inf,) + b.alpha.parts
-    clauses = (
+    return (
         u - part[u] > i - 1 and u - 1 - part[u - 1] <= i - 1,
-        u > b.m,
+        u > m,
         part[u - i] >= u and part[u - i + 1] <= u,
         part[u] + i <= part[u - i] and part[u - 1] + i >= part[u - i + 1],
     )
-    return tuple(bool(x) for x in clauses)
 
 
 def check_prop_techprop(b: ClassBPartition, i: int) -> dict:
@@ -252,7 +249,7 @@ def check_prop_techprop(b: ClassBPartition, i: int) -> dict:
     u, _ = _cut(b, i)
     if u is None:
         raise NoShiftRow(f"no shift row exists for i={i} on alpha={b.alpha}")
-    clauses = _techprop(b, i, u)
+    clauses = _techprop((math.inf,) + b.alpha.parts, b.m, i, u)
     return {"u": u, "parts": clauses, "all": all(clauses)}
 
 
@@ -295,18 +292,18 @@ def _cut_legs(
     cuts: list[tuple[int, int, int]],
     strip: list[tuple[int, int]],
     dgm: list[tuple[int, int]],
-) -> list[tuple[int, dict[str, list[int]], dict[str, bool]]]:
+) -> list[tuple[int, tuple[list[int], ...], dict[str, bool]]]:
     """(s_eff, leg lists, checks) of every cut (i, u, s) in ``cuts``, given
     the rows of T and D.
 
-    Each leg list (m1 .. m23) holds the legs of its arm-(i-1) cells in row
-    order, read by one ``_arm_slice_legs`` merge per slice.  Along a slice
-    the column c = hi - i + 1 never falls and r + c strictly rises, so each
-    piece is a run of its slice that ends where c or r + c passes a bound:
-    one bisect on the row ends, or on the sums r + hi.  Each shape is
-    checked to rise once, when it is built; the shifted strip and its
-    rotation depend on u alone, so they are built once per distinct u of
-    the call.
+    Each leg list, m1 .. m23 in MDecomposition's order, holds the legs of
+    its arm-(i-1) cells in row order, read by one ``_arm_slice_legs`` pass
+    per slice.  Along a slice the column c = hi - i + 1 never falls and
+    r + c strictly rises, so each piece is a run of its slice that ends
+    where c or r + c passes a bound: one bisect on the row ends, or on the
+    sums r + hi.  Each shape is checked to rise once, when it is built; the
+    shifted strip and its rotation depend on u alone, so they are built
+    once per distinct u of the call.
     """
     k = b.k
     a1 = b.alpha.parts[0]
@@ -337,21 +334,18 @@ def _cut_legs(
         # its diagonal, so m4's rows are the top ones
         first = bisect_right(dgm_sums, diag_d + i - 1) + 1
         m4 = _arm_slice_legs(dgm, dgm_ends, i, first)
+        m3_sorted, m4_sorted = sorted(m3), sorted(m4)
 
         checks = {
             "m1_vs_m2": _same_legs(m1, m2),
-            "m11_vs_m3": _same_legs(m11, m3),
-            "m12_range": _same_legs(m12, range(u - s_eff, k - s_eff + 1)),
-            "m21_range": _same_legs(m21, range(0, k - s_eff + 1)),
-            "m22_range": _same_legs(m22, range(u - s_eff, i - 1)),
-            "m23_vs_m4": _same_legs(m23, m4),
-            "m3_vs_m4_low_legs": _same_legs(m3, m4 + list(range(0, i - 1))),
+            "m11_vs_m3": sorted(m11) == m3_sorted,
+            "m12_range": sorted(m12) == list(range(u - s_eff, k - s_eff + 1)),
+            "m21_range": sorted(m21) == list(range(0, k - s_eff + 1)),
+            "m22_range": sorted(m22) == list(range(u - s_eff, i - 1)),
+            "m23_vs_m4": sorted(m23) == m4_sorted,
+            "m3_vs_m4_low_legs": m3_sorted == sorted(m4_sorted + list(range(0, i - 1))),
         }
-        legs = {
-            "m1": m1, "m2": m2, "m3": m3, "m4": m4,
-            "m11": m11, "m12": m12, "m21": m21, "m22": m22, "m23": m23,
-        }
-        out.append((s_eff, legs, checks))
+        out.append((s_eff, (m1, m2, m3, m4, m11, m12, m21, m22, m23), checks))
     return out
 
 
@@ -368,8 +362,7 @@ def m_decomposition(b: ClassBPartition, i: int) -> MDecomposition:
             f"leg decomposition fails for alpha={b.alpha} i={i}: {', '.join(bad)}",
             b.alpha, "proj", {"failed": bad}, {"i": i},
         )
-    counted = {name: Counter(v) for name, v in legs.items()}
-    return MDecomposition(i=i, u=u, s=s, s_eff=s_eff, **counted, checks=checks)
+    return MDecomposition(i, u, s, s_eff, *map(Counter, legs), checks)
 
 
 def _on_or_below(rows: list[tuple[int, int]], total: int) -> list[tuple[int, int]]:
@@ -404,15 +397,16 @@ def _projective_pass(b: ClassBPartition) -> tuple[dict, dict | None]:
     same_cells = _occupied(p_sq) == _occupied(p_t)
     sq_runs = _rising_runs(sq, p_sq)
     r_runs, d_runs = _rising_runs(rect, p_r), _rising_runs(dgm, q_d)
-    identity = _same_runs([sq_runs], [r_runs, d_runs])
+    identity = _same_runs(sq_runs, [r_runs, d_runs])
 
     # u never falls as i grows, so the cuts with a shift row come first
     table = _cut_rows(alpha)
     cuts = [(i, u, s) for i, (u, s) in enumerate(table, 1) if u is not None]
+    part = (math.inf,) + alpha.parts
     per_i = []
     first_bad = None
     for (i, u, s), (_, _, checks) in zip(cuts, _cut_legs(b, cuts, strip, dgm), strict=True):
-        clauses = _techprop(b, i, u)
+        clauses = _techprop(part, b.m, i, u)
         failed = sorted(name for name, ok in checks.items() if not ok)
         per_i.append(
             {"i": i, "u": u, "s": s, "techprop": list(clauses),

@@ -91,6 +91,8 @@ class SweepConfig(_Checked, namedtuple("SweepConfig", "max_k max_n theorems out 
             raise UnknownChoice(f"an identity is named twice in {theorems}")
         if max_n is None and any(t != "projective" for t in theorems):
             raise UnknownChoice("max_n must be given for box sweeps")
+        if max_n is not None and theorems == ("projective",):
+            raise UnknownChoice("max_n bounds only box sweeps, and none is selected")
         return super().__new__(cls, max_k, max_n, theorems, out, jobs)
 
 

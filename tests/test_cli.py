@@ -225,6 +225,14 @@ class TestSweep:
         assert code == 0
         assert out == "checked 14 cases: pass\n"
 
+    def test_projective_sweep_rejects_max_n(self, capsys):
+        # --max-n used to be ignored and written into the report's config
+        code, out, err = run_cli(
+            "sweep", "--max-k", "3", "--projective", "--max-n", "1", capsys=capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: max_n bounds only box sweeps, and none is selected\n"
+
     def test_report_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, _ = run_cli(

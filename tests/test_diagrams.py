@@ -514,7 +514,7 @@ class TestRunMaps:
         for p in sweep_partitions(5, 5):
             sq, rect, dgm = (_region_rows(p, kind) for kind in ("SQ", "R", "D"))
             right = [_rising_runs(rect, rect), _rising_runs(dgm, dgm)]
-            assert _same_runs([_rising_runs(sq, sq)], right), p
+            assert _same_runs(_rising_runs(sq, sq), right), p
 
     def test_moved_cell_is_caught(self):
         p = Partition((4, 2, 1), 3, 4)
@@ -524,7 +524,7 @@ class TestRunMaps:
         moved = dict(runs)
         plant_one_arm_run(moved, arm, leg, -1)
         plant_one_arm_run(moved, arm, leg + 1)
-        assert not _same_runs([moved], [runs])
+        assert not _same_runs(moved, [runs])
         want = self.expected(rows, rows)
         want[arm, leg] -= 1
         want[arm, leg + 1] += 1
@@ -539,7 +539,7 @@ class TestRunMaps:
         longer = dict(runs)
         longer[leg, end] += 1
         longer[leg, end + 1] = longer.get((leg, end + 1), 0) - 1
-        assert not _same_runs([longer], [runs])
+        assert not _same_runs(longer, [runs])
         want = self.expected(rows, rows)
         want[end, leg] += 1
         assert _expand_runs(longer) == want

@@ -1,9 +1,12 @@
 """Tests for the n = k+1 family: Frobenius form, diagonals, shifted strips,
 and the decomposition of leg multisets."""
 
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hookpair.diagrams import (
     CellSet,
@@ -48,8 +51,10 @@ from util import (
     count_cellsets,
     count_region_builds,
     decomposition_reference,
+    frobenius_parts,
     leg_by_scan,
     plant_one_arm_run,
+    rising_shapes,
     strict_partitions,
 )
 
@@ -61,6 +66,16 @@ def family_members(max_k):
     for k in range(1, max_k + 1):
         for parts in strict_partitions(k):
             yield alpha_from_strict(StrictPartition(parts, k))
+
+
+def sampled_members(seed, low_k, high_k, count):
+    """``count`` seeded members, k spread evenly over low_k .. high_k and
+    each of 1 .. k a part with probability one half."""
+    rng = random.Random(seed)
+    for t in range(count):
+        k = low_k + (high_k - low_k) * t // (count - 1)
+        parts = tuple(x for x in range(k, 0, -1) if rng.random() < 0.5)
+        yield alpha_from_strict(StrictPartition(parts, k))
 
 
 class TestStrictPartition:
@@ -123,6 +138,15 @@ class TestFrobeniusForm:
         b = is_class_B(Partition((k + 1,) * k, k=k, n=k + 1))
         assert b is not None
         assert b.lam.parts == tuple(k + 1 - j for j in range(1, k + 1))
+
+    def test_members_match_their_hooks(self):
+        for b in family_members(9):
+            assert b.alpha.parts == frobenius_parts(b.lam.parts, b.k), b.lam
+
+    def test_sampled_members_match_their_hooks_and_round_trip(self):
+        for b in sampled_members(18, 10, 40, 40):
+            assert b.alpha.parts == frobenius_parts(b.lam.parts, b.k), b.lam
+            assert is_class_B(b.alpha) == b, b.lam
 
     def test_recognizer_needs_matching_bound(self):
         with pytest.raises(WrongN):
@@ -406,6 +430,24 @@ class TestRowIntervals:
         made = count_cellsets(monkeypatch, lambda: projective_report(b))
         assert built == [] and made == 0
 
+    @given(rising_shapes(), st.integers(1, 12))
+    def test_arm_slice_legs_on_rising_shapes(self, rows, i):
+        # from every row; where a row from first up is short, both raise
+        # for the same row
+        g = CellSet.from_row_intervals(dict(enumerate(rows, 1)))
+        ends = _check_rising(rows)
+        for first in range(1, len(rows) + 2):
+            try:
+                _arm_slice(rows, i, first)
+            except IndexOutOfRange as want:
+                with pytest.raises(IndexOutOfRange) as got:
+                    _arm_slice_legs(rows, ends, i, first)
+                assert str(got.value) == str(want), (rows, i, first)
+                continue
+            cells = [(r, g.row_cols(r)[-i]) for r in range(first, len(rows) + 1)]
+            want = [leg_by_scan(g, x) for x in cells]
+            assert _arm_slice_legs(rows, ends, i, first) == want, (rows, i, first)
+
     def test_short_row_has_no_arm_slice(self):
         with pytest.raises(IndexOutOfRange):
             _arm_slice([(1, 3), (2, 3)], 3)
@@ -484,9 +526,10 @@ class TestDecompositionKernel:
 
     FIELDS = ("m1", "m2", "m3", "m4", "m11", "m12", "m21", "m22", "m23")
 
-    def test_matches_reference(self):
+    def assert_matches_reference(self, members):
+        """The number of cuts with a shift row, after checking every cut."""
         checked = 0
-        for b in family_members(6):
+        for b in members:
             for i in range(1, b.k + 2):
                 ref = decomposition_reference(b, i)
                 if ref is None:
@@ -497,7 +540,13 @@ class TestDecompositionKernel:
                 got = {name: getattr(dec, name) for name in ("u", "s", "s_eff") + self.FIELDS}
                 assert got == ref, (b.alpha, i)
                 checked += 1
-        assert checked == 522
+        return checked
+
+    def test_matches_reference(self):
+        assert self.assert_matches_reference(family_members(6)) == 522
+
+    def test_matches_reference_on_sampled_large_members(self):
+        assert self.assert_matches_reference(sampled_members(17, 7, 30, 12)) > 100
 
     def test_leg_lists_compare_multiplicities(self):
         import hookpair.projective as pj
@@ -600,8 +649,8 @@ class TestProjectiveIdentity:
 
         original = pj._techprop
 
-        def clause_fails_at_cut_4(b, i, u):
-            clauses = original(b, i, u)
+        def clause_fails_at_cut_4(part, m, i, u):
+            clauses = original(part, m, i, u)
             return (True, False, True, True) if i == 4 else clauses
 
         monkeypatch.setattr(pj, "_techprop", clause_fails_at_cut_4)

@@ -106,6 +106,8 @@ class TestSweepConfig:
             (3, (), "at least one identity must be selected"),
             (3, ("4",), "unknown identity '4'"),
             (None, ("projective", "1"), "max_n must be given for box sweeps"),
+            # it used to check every member and report "maxN": 1
+            (1, ("projective",), "max_n bounds only box sweeps, and none is selected"),
             # a string used to be read letter by letter: "12" swept 1 and 2
             (3, "12", "theorems must list identity names, not '12'"),
             (None, "projective", "theorems must list identity names, not 'projective'"),
@@ -113,8 +115,8 @@ class TestSweepConfig:
             (None, ("projective", "projective"),
              "an identity is named twice in ('projective', 'projective')"),
         ],
-        ids=["none", "unknown", "box-without-n", "string", "string-projective",
-             "repeated", "repeated-projective"],
+        ids=["none", "unknown", "box-without-n", "projective-with-n", "string",
+             "string-projective", "repeated", "repeated-projective"],
     )
     def test_choice_errors_are_package_errors(self, max_n, theorems, message):
         with pytest.raises(HookpairError) as exc:

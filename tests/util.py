@@ -57,6 +57,21 @@ def partitions(draw, max_k=5, max_n=5):
     return Partition(tuple(sorted(parts, reverse=True)), k, n)
 
 
+@st.composite
+def rising_shapes(draw, max_rows=8, max_step=3):
+    """Rows (lo, hi), bottom row first, of a shape whose row intervals rise:
+    a few empty rows at the bottom, then non-empty rows whose starts and
+    ends never fall."""
+    rows = [(c, c - 1) for c in draw(st.lists(st.integers(1, 4), max_size=3))]
+    lo = draw(st.integers(1, max_step))
+    hi = lo + draw(st.integers(0, max_step))
+    for _ in range(draw(st.integers(1, max_rows))):
+        rows.append((lo, hi))
+        lo += draw(st.integers(0, max_step))
+        hi = max(hi + draw(st.integers(0, max_step)), lo)
+    return rows
+
+
 cell_sets = st.sets(
     st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=20
 ).map(CellSet)
@@ -188,6 +203,18 @@ def phi_reference_json(p):
                 }
             )
     return sorted(entries, key=lambda e: e["from"])
+
+
+def frobenius_parts(lam, k):
+    """The k parts of the partition whose diagonal hooks have arms lam_j and
+    legs lam_j - 1, read row by row off the union of those hooks, with rows
+    counted from the top: hook j holds (j, j) .. (j, j + lam_j) and (j, j)
+    .. (j + lam_j - 1, j)."""
+    cells = set()
+    for j, arm in enumerate(lam, 1):
+        cells.update((j, c) for c in range(j, j + arm + 1))
+        cells.update((r, j) for r in range(j, j + arm))
+    return tuple(sum(1 for r, _ in cells if r == t) for t in range(1, k + 1))
 
 
 def decomposition_reference(b, i):

@@ -93,20 +93,20 @@ MUTANTS = (
     ),
     Mutant(
         "m12-range-short", PROJECTIVE,
-        "_same_legs(m12, range(u - s_eff, k - s_eff + 1))",
-        "_same_legs(m12, range(u - s_eff, k - s_eff))",
+        "sorted(m12) == list(range(u - s_eff, k - s_eff + 1))",
+        "sorted(m12) == list(range(u - s_eff, k - s_eff))",
         "the m12 range check is one leg shorter",
     ),
     Mutant(
         "m22-range-short", PROJECTIVE,
-        "_same_legs(m22, range(u - s_eff, i - 1))",
-        "_same_legs(m22, range(u - s_eff, i - 2))",
+        "sorted(m22) == list(range(u - s_eff, i - 1))",
+        "sorted(m22) == list(range(u - s_eff, i - 2))",
         "the m22 range check is one leg shorter",
     ),
     Mutant(
         "low-legs-short", PROJECTIVE,
-        "m4 + list(range(0, i - 1))",
-        "m4 + list(range(0, i - 2))",
+        "m4_sorted + list(range(0, i - 1))",
+        "m4_sorted + list(range(0, i - 2))",
         "the low legs added to m4 are one short",
     ),
     Mutant(
@@ -206,15 +206,29 @@ MUTANTS = (
     ),
     Mutant(
         "run-sign-flipped", PROJECTIVE,
-        "_same_runs([sq_runs], [r_runs, d_runs])",
-        "_same_runs([sq_runs, d_runs], [r_runs])",
+        "_same_runs(sq_runs, [r_runs, d_runs])",
+        "_same_runs(r_runs, [sq_runs, d_runs])",
         "the run map of D's part is added to SQ's side, not to R's",
     ),
     Mutant(
         "merge-pointer-inclusive", DIAGRAMS,
         "while ends[left] < c:",
         "while ends[left] <= c:",
-        "the merge skips the rows below that end at the cell's own column",
+        "the leg kernel skips the rows below that end at the cell's own column",
+    ),
+    Mutant(
+        "leg-kernel-short-row-unchecked", DIAGRAMS,
+        "        if hi - lo + 1 < i:\n"
+        "            r = first + len(out)\n"
+        "            raise IndexOutOfRange(f\"row {r} has only {hi - lo + 1} cells, need {i}\")\n",
+        "",
+        "the leg kernel reads a leg for a row shorter than i, left of the row",
+    ),
+    Mutant(
+        "leg-kernel-column-short", DIAGRAMS,
+        "        c = hi - i + 1\n",
+        "        c = hi - i\n",
+        "the leg kernel measures the arm-i cell of each row instead of the arm-(i-1) one",
     ),
     Mutant(
         "repro-without-theorem", DIAGRAMS,
@@ -233,6 +247,24 @@ MUTANTS = (
         "L = sum(lo <= c for lo in v_starts)",
         "L = sum(lo < c for lo in v_starts)",
         "zeta_1's row drop L misses the V row that starts at the column",
+    ),
+    Mutant(
+        "star-split-strict", BIJECTIONS,
+        "    if c <= cut:\n",
+        "    if c < cut:\n",
+        "the last column of T*1 is sent to D instead of R2",
+    ),
+    Mutant(
+        "hook-multiset-without-one", BIJECTIONS,
+        "Counter(arm + leg + 1 for t in tables",
+        "Counter(arm + leg for t in tables",
+        "the hook multisets of the oracle count arm + leg, not arm + leg + 1",
+    ),
+    Mutant(
+        "hook-measured-without-one", BIJECTIONS,
+        "{x: (arm + leg + 1,) for x",
+        "{x: (arm + leg,) for x",
+        "the hooks a certificate records are arm + leg, not arm + leg + 1",
     ),
     Mutant(
         "coverage-pooled", BIJECTIONS,
