@@ -145,15 +145,21 @@ def _case(p: Partition, theorem: int | str, extra: dict | None = None) -> dict:
     return {"alpha": list(p.parts), "k": p.k, "n": p.n, "theorem": theorem, **(extra or {})}
 
 
+def _repro(case: dict) -> str:
+    """The ``hookpair verify`` command line that rechecks a case named by
+    ``_case``; a sweep's ``projective`` case is checked by ``--theorem proj``."""
+    alpha = ",".join(str(a) for a in case["alpha"])
+    theorem = "proj" if case["theorem"] == "projective" else case["theorem"]
+    return f"hookpair verify --k {case['k']} --n {case['n']} --alpha {alpha} --theorem {theorem}"
+
+
 def _counterexample(
     message: str, p: Partition, theorem: int | str, detail, extra: dict | None = None
 ) -> CounterexampleFound:
     """The error that reports a failed identity on p: its case is ``_case``
     plus the ``hookpair verify`` command line that rechecks it."""
-    alpha = ",".join(str(a) for a in p.parts)
-    repro = f"hookpair verify --k {p.k} --n {p.n} --alpha {alpha} --theorem {theorem}"
-    case = {**_case(p, theorem, extra), "repro": repro}
-    return CounterexampleFound(message, case=case, detail=detail)
+    case = _case(p, theorem, extra)
+    return CounterexampleFound(message, case={**case, "repro": _repro(case)}, detail=detail)
 
 
 def conjugate(p: Partition) -> Partition:

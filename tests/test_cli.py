@@ -14,6 +14,7 @@ import hookpair
 import hookpair.bijections as bj
 import hookpair.cli as cli
 import hookpair.projective as pj
+import hookpair.sweep as sweep_mod
 from hookpair.bijections import MapEntry, verify_theorem
 from hookpair.diagrams import Partition
 from hookpair.errors import CounterexampleFound, NotInFamily
@@ -243,6 +244,20 @@ class TestSweep:
         data = json.loads(out_path.read_text())
         assert data["verdict"] == "pass"
         assert data["config"] == {"maxK": 1, "maxN": 1, "theorems": ["1", "2", "3"]}
+
+    def test_missing_out_directory_exits_before_any_case(self, capsys, tmp_path, monkeypatch):
+        # the whole sweep used to run before the report failed to open
+        def case_entry(case):
+            raise AssertionError(f"checked {case} before the report's target")
+
+        monkeypatch.setattr(sweep_mod, "_case_entry", case_entry)
+        out_path = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(
+            "sweep", "--max-k", "5", "--max-n", "5", "--out", str(out_path),
+            capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{out_path}'\n"
 
     def test_bad_bounds_are_usage_errors(self, capsys):
         code, _, err = run_cli(

@@ -3,6 +3,8 @@
 import json
 import math
 import multiprocessing
+import shlex
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,7 @@ from hookpair.sweep import (
     run_sweep,
 )
 
-from util import all_partitions
+from util import all_partitions, sweep_fold_reference
 
 
 class TestEnumeratePartitions:
@@ -78,8 +80,8 @@ class TestEnumerateFamily:
             raise AssertionError(f"built member {lam} while enumerating")
 
         monkeypatch.setattr(sweep_mod, "alpha_from_strict", no_build)
-        cases = sweep_mod._enumerate_cases(SweepConfig(max_k=3, max_n=None,
-                                                       theorems=("projective",)))
+        cases = list(sweep_mod._enumerate_cases(SweepConfig(max_k=3, max_n=None,
+                                                            theorems=("projective",))))
         assert cases[:3] == [("projective", (), 1), ("projective", (1,), 1),
                              ("projective", (), 2)]
         assert len(cases) == 2 + 4 + 8
@@ -271,11 +273,12 @@ class TestFailingSweep:
             "2": sum(math.comb(n + k, k) for n in (1, 2, 3) for k in (1, 2)),
             "projective": 2 + 4,
         }
+        first = {**failing[0], "repro": "hookpair verify --k 2 --n 2 --alpha 1,0 --theorem 2"}
         assert [c for c in report.cases if c["verdict"] == "fail"] == failing
-        assert report.first_counterexample == failing[0]
+        assert report.first_counterexample == first
         data = report.to_json()
         assert data["verdict"] == "fail"
-        assert data["firstCounterexample"] == failing[0]
+        assert data["firstCounterexample"] == first
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_cli_exits_one(self, planted_failures, capsys, jobs):
@@ -285,8 +288,128 @@ class TestFailingSweep:
         assert code == 1
         assert out == (
             "checked 42 cases: fail\n"
-            '{"alpha": [1, 0], "k": 2, "n": 2, "theorem": "2", "verdict": "fail"}\n'
+            '{"alpha": [1, 0], "k": 2, "n": 2, '
+            '"repro": "hookpair verify --k 2 --n 2 --alpha 1,0 --theorem 2", '
+            '"theorem": "2", "verdict": "fail"}\n'
         )
+
+
+def dumped(report):
+    """The report text as one ``json.dumps`` string, the way it was once written."""
+    return (json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n").encode()
+
+
+SWEEPS = {
+    "box": dict(max_k=3, max_n=3, theorems=("1", "2", "3")),
+    "projective": dict(max_k=6, max_n=None, theorems=("projective",)),
+    "failing": dict(max_k=2, max_n=3, theorems=("2", "projective")),
+}
+
+
+class TestStreamedReport:
+    """The report is streamed to its file, byte for byte as ``json.dumps``."""
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    @pytest.mark.parametrize("name", ["box", "projective"])
+    def test_write_equals_dumps(self, tmp_path, name, jobs):
+        out = tmp_path / "r.json"
+        report = run_sweep(SweepConfig(**SWEEPS[name], out=str(out), jobs=jobs))
+        assert report.verdict == "pass"
+        assert out.read_bytes() == dumped(report)
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_failing_write_equals_dumps(self, planted_failures, tmp_path, jobs):
+        out = tmp_path / "r.json"
+        report = run_sweep(SweepConfig(**SWEEPS["failing"], out=str(out), jobs=jobs))
+        assert report.verdict == "fail"
+        assert out.read_bytes() == dumped(report)
+        data = json.loads(out.read_bytes())
+        assert data["firstCounterexample"]["repro"].startswith("hookpair verify ")
+        assert not any("repro" in case for case in data["cases"])
+
+    def test_write_holds_no_copy_of_the_report(self, tmp_path):
+        # joining the dumped chunks into one string, then adding the newline,
+        # took about seven times the file's size
+        report = run_sweep(SweepConfig(max_k=8, max_n=None, theorems=("projective",)))
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            report.write(str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 50_000
+        assert peak < size
+
+
+class TestRunningFold:
+    """Entries are folded as they arrive, with the result of folding the
+    finished list."""
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    @pytest.mark.parametrize("name", ["box", "projective", "failing"])
+    def test_matches_list_then_fold(self, request, name, jobs):
+        if name == "failing":
+            request.getfixturevalue("planted_failures")
+        cfg = SweepConfig(**SWEEPS[name], jobs=jobs)
+        entries = [sweep_mod._case_entry(c) for c in list(sweep_mod._enumerate_cases(cfg))]
+        counts, first = sweep_fold_reference(entries)
+        report = run_sweep(cfg)
+        assert list(report.cases) == entries
+        assert report.counts == counts
+        assert report.first_counterexample == first
+        assert (first is None) == (name != "failing")
+
+    def test_family_repro_checks_the_member(self, planted_failures, capsys):
+        report = run_sweep(SweepConfig(max_k=2, max_n=None, theorems=("projective",)))
+        repro = report.first_counterexample["repro"]
+        assert repro == "hookpair verify --k 1 --n 2 --alpha 2 --theorem proj"
+        # the planted failure is in the sweep only: the real check passes
+        assert cli.main(shlex.split(repro)[1:]) == 0
+        assert json.loads(capsys.readouterr().out)["theorem"] == "pass"
+
+
+class TestUnusableOut:
+    """A report that cannot be written stops the sweep before its first case."""
+
+    @pytest.fixture
+    def no_cases(self, monkeypatch):
+        def case_entry(case):
+            raise AssertionError(f"checked {case} before the report's target")
+
+        monkeypatch.setattr(sweep_mod, "_case_entry", case_entry)
+
+    def sweep(self, out):
+        return run_sweep(SweepConfig(max_k=3, max_n=3, theorems=("1",), out=str(out)))
+
+    def test_missing_directory(self, no_cases, tmp_path):
+        with pytest.raises(FileNotFoundError) as exc:
+            self.sweep(tmp_path / "missing" / "r.json")
+        assert exc.value.filename == str(tmp_path / "missing" / "r.json")
+
+    def test_directory_as_target(self, no_cases, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            self.sweep(tmp_path)
+
+    def test_directory_not_writable(self, no_cases, tmp_path, monkeypatch):
+        # a root user may write anywhere, so the permission is faked
+        monkeypatch.setattr(sweep_mod.os, "access", lambda path, mode: False)
+        with pytest.raises(PermissionError):
+            self.sweep(tmp_path / "r.json")
+
+    def test_report_kept_until_the_cases_have_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.json"
+        out.write_text("earlier report\n")
+
+        def case_entry(case):
+            assert out.read_text() == "earlier report\n"
+            raise RuntimeError("stopped in the first case")
+
+        monkeypatch.setattr(sweep_mod, "_case_entry", case_entry)
+        with pytest.raises(RuntimeError):
+            self.sweep(out)
+        assert out.read_text() == "earlier report\n"
 
 
 class TestWorkerCount:

@@ -271,3 +271,19 @@ def decomposition_reference(b, i):
         "m22": Counter(leg for (r, c), leg in s_legs if c > k + 1 and r + c <= 2 * k + 2),
         "m23": Counter(leg for (r, c), leg in s_legs if r + c > 2 * k + 2),
     }
+
+
+def sweep_fold_reference(entries):
+    """The counts per identity and the first counterexample of a sweep, read
+    off the finished list of its case entries: the first failing entry plus
+    the ``hookpair verify`` line that rechecks it (``--theorem proj`` for a
+    member of the family), or None when every entry passes."""
+    counts = dict(Counter(e["theorem"] for e in entries))
+    failing = [e for e in entries if e["verdict"] == "fail"]
+    if not failing:
+        return counts, None
+    e = failing[0]
+    theorem = {"projective": "proj"}.get(e["theorem"], e["theorem"])
+    alpha = ",".join(str(a) for a in e["alpha"])
+    repro = f"hookpair verify --k {e['k']} --n {e['n']} --alpha {alpha} --theorem {theorem}"
+    return counts, {**e, "repro": repro}

@@ -37,6 +37,7 @@ PROJECTIVE = "src/hookpair/projective.py"
 DIAGRAMS = "src/hookpair/diagrams.py"
 BIJECTIONS = "src/hookpair/bijections.py"
 SWEEP = "src/hookpair/sweep.py"
+DYCK = "src/hookpair/dyck.py"
 
 
 @dataclass(frozen=True)
@@ -238,8 +239,8 @@ MUTANTS = (
     ),
     Mutant(
         "counterexample-drops-extra", DIAGRAMS,
-        "{**_case(p, theorem, extra), \"repro\": repro}",
-        "{**_case(p, theorem), \"repro\": repro}",
+        "case = _case(p, theorem, extra)",
+        "case = _case(p, theorem)",
         "a counterexample's case loses its extra keys, such as m_decomposition's cut i",
     ),
     Mutant(
@@ -290,6 +291,42 @@ MUTANTS = (
         "            raise UnknownChoice(f\"an identity is named twice in {theorems}\")\n",
         "",
         "a sweep that names an identity twice checks each of its cases twice",
+    ),
+    Mutant(
+        "fold-keeps-last-failure", SWEEP,
+        "if first is None and entry[\"verdict\"] == \"fail\":",
+        "if entry[\"verdict\"] == \"fail\":",
+        "a sweep reports its last failing case instead of its first",
+    ),
+    Mutant(
+        "write-drops-newline", SWEEP,
+        "            fh.write(\"\\n\")\n",
+        "",
+        "a written sweep report lacks its final newline",
+    ),
+    Mutant(
+        "write-unsorted", SWEEP,
+        "json.dump(self.to_json(), fh, indent=2, sort_keys=True)",
+        "json.dump(self.to_json(), fh, indent=2)",
+        "a written sweep report keeps its keys in insertion order",
+    ),
+    Mutant(
+        "dyck-steps-swapped", DYCK,
+        "d = 1 if lab.kind == \"x\" else -1",
+        "d = 1 if lab.kind == \"z\" else -1",
+        "z labels step up and x labels down",
+    ),
+    Mutant(
+        "decimal-takes-plus", DIAGRAMS,
+        "r\"-?[0-9]+\"",
+        "r\"[-+]?[0-9]+\"",
+        "outside text such as +3 becomes an int",
+    ),
+    Mutant(
+        "require-int-takes-bool", DIAGRAMS,
+        "if type(value) is not int:",
+        "if not isinstance(value, int):",
+        "True and False pass the integer check as 1 and 0",
     ),
 )
 
