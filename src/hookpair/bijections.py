@@ -17,7 +17,7 @@ CounterexampleFound on any discrepancy.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .diagrams import (
     Cell,
@@ -208,14 +208,14 @@ def zeta_map(p: Partition, kind: int) -> CellMap:
     return CellMap(source_tag, entries)
 
 
-def _psi(p: Partition, sq: StatTable) -> CellMap:
-    """psi_map with every (arm, leg) read from SQ's stat table.
+def _psi(p: Partition, sq: StatTable, phi: Iterable[MapEntry]) -> CellMap:
+    """psi_map from phi's entries, each (arm, leg) read from SQ's stat table.
 
     A strip cell's phi image in T* is followed by zeta_2 or zeta_3.
     """
     star_rows = _region_rows(p, "Tstar")
     entries = _zeta1(p, sq)
-    for e in _phi(p, sq):
+    for e in phi:
         target, tag = _star_image(p, star_rows, e.target)
         entries.append(MapEntry(e.source, target, tag, e.al))
     return CellMap("SQ", entries)
@@ -228,7 +228,8 @@ def psi_map(p: Partition) -> CellMap:
     cells go through phi into T*; images landing in the left half T*1 are
     shifted into R2, the rest are translated onto D.
     """
-    return _psi(p, _region_stats(p, "SQ"))
+    sq = _region_stats(p, "SQ")
+    return _psi(p, sq, _phi(p, sq))
 
 
 class CertRecord(NamedTuple):
@@ -369,6 +370,35 @@ def build_certificate(
     return BijectionCertificate(tuple(records), not failures, tuple(failures))
 
 
+# each identity: its statistic, its source region and its target regions
+_IDENTITIES = {
+    1: ("hook", "SQ", ("R", "D")),
+    2: ("al", "SQ", ("R", "D")),
+    3: ("al", "T", ("Tstar",)),
+}
+
+
+def _witnesses(p: Partition, which: Iterable[int]) -> Iterator[tuple]:
+    """(statistic, left multiset, right multiset, certificate) of each identity
+    in ``which``, in its order: each region measured once, phi built once (from
+    SQ's stat table when SQ is needed: a strip cell has the same arm and leg in
+    T as in SQ) and psi once, from phi's entries."""
+    specs = [_IDENTITIES[w] for w in which]
+    kinds = dict.fromkeys(kind for _, source, targets in specs for kind in (source, *targets))
+    stats = {kind: _region_stats(p, kind) for kind in kinds}
+    phi = _phi(p, stats["SQ" if "SQ" in stats else "T"])
+    maps = {"T": CellMap("T", phi)} if "T" in stats else {}
+    if "SQ" in stats:
+        maps["SQ"] = _psi(p, stats["SQ"], phi)
+    del phi  # only identity 3 keeps phi's entries beside psi's
+    for stat, source, targets in specs:
+        ambient = {kind: (stats[kind], stats[kind]) for kind in targets}
+        left = _multiset(stat, [stats[source]])
+        right = _multiset(stat, [stats[kind] for kind in targets])
+        cert = build_certificate(maps[source], stats[source], stats[source], ambient, stat)
+        yield stat, left, right, cert
+
+
 def theorem_report(p: Partition, which: int) -> dict:
     """Verify one of the three multiset identities, both ways.
 
@@ -378,37 +408,21 @@ def theorem_report(p: Partition, which: int) -> dict:
     matching bijection certificate (psi for 1 and 2, phi for 3).  Each region
     is measured once, into a stat table that both witnesses read.
     """
-    if _require_int(which, "theorem") == 3:
-        source, star = _region_stats(p, "T"), _region_stats(p, "Tstar")
-        stat, targets = "al", {"Tstar": (star, star)}
-        cmap = CellMap("T", _phi(p, source))
-    elif which in (1, 2):
-        source = _region_stats(p, "SQ")
-        rect, dgm = _region_stats(p, "R"), _region_stats(p, "D")
-        stat = "al" if which == 2 else "hook"
-        targets = {"R": (rect, rect), "D": (dgm, dgm)}
-        cmap = _psi(p, source)
-    else:
+    if _require_int(which, "theorem") not in _IDENTITIES:
         raise UnknownChoice(f"theorem must be 1, 2 or 3, got {which!r}")
-
-    left = _multiset(stat, [source])
-    right = _multiset(stat, [ambient for ambient, _ in targets.values()])
-    cert = build_certificate(cmap, source, source, targets, stat)
+    ((stat, left, right, cert),) = _witnesses(p, (which,))
     to_json = multiset_to_json if stat == "al" else hook_multiset_to_json
-    sides = to_json(left), to_json(right)
-
     oracle_equal = left == right
-    verdict = oracle_equal and cert.verdict
     return {
         **_case(p, which),
         "oracle": {
-            "left": sides[0],
-            "right": sides[1],
+            "left": to_json(left),
+            "right": to_json(right),
             "equal": oracle_equal,
             "firstDifference": first_multiset_difference(left, right),
         },
         "certificate": cert.to_json(),
-        "verdict": "pass" if verdict else "fail",
+        "verdict": "pass" if oracle_equal and cert.verdict else "fail",
     }
 
 

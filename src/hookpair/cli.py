@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .bijections import phi_map, psi_map, verify_theorem
+from .bijections import _IDENTITIES, phi_map, psi_map, verify_theorem
 from .diagrams import Partition, _decimal, _require_int, build_region
 from .dyck import build_dyck, build_sigma, pair_updown
 from .errors import CounterexampleFound, HookpairError, NotAnInteger, NotInFamily
@@ -62,7 +62,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    theorems = ("projective",) if args.projective else ("1", "2", "3")
+    theorems = ("projective",) if args.projective else tuple(map(str, _IDENTITIES))
     jobs = args.jobs
     if jobs is None:
         jobs = _decimal(os.environ.get("HOOKPAIR_JOBS", "1"), "HOOKPAIR_JOBS")
@@ -74,9 +74,14 @@ def _cmd_sweep(args) -> int:
         jobs=jobs,
     )
     report = run_sweep(cfg)
-    print(f"checked {sum(report.counts.values())} cases: {report.verdict}")
+    try:  # a report on stdout's own file starts at offset 0, where the summary would go
+        shared = bool(cfg.out) and os.path.samestat(os.stat(cfg.out), os.fstat(1))
+    except OSError:  # stdout is closed
+        shared = False
+    stream = sys.stderr if shared else sys.stdout
+    print(f"checked {sum(report.counts.values())} cases: {report.verdict}", file=stream)
     if report.first_counterexample is not None:
-        print(json.dumps(report.first_counterexample, sort_keys=True))
+        print(json.dumps(report.first_counterexample, sort_keys=True), file=stream)
         return 1
     return 0
 
@@ -129,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check one identity on one partition")
     _add_case_arguments(p_verify)
     p_verify.add_argument(
-        "--theorem", required=True, choices=("1", "2", "3", "proj")
+        "--theorem", required=True, choices=(*map(str, _IDENTITIES), "proj")
     )
     p_verify.set_defaults(func=_cmd_verify)
 

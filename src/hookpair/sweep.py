@@ -19,7 +19,7 @@ from collections import namedtuple
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .bijections import theorem_report
+from .bijections import _IDENTITIES, _witnesses
 from .diagrams import Partition, _Checked, _case, _decimal, _repro, _require_int
 from .errors import UnknownChoice
 from .projective import ClassBPartition, StrictPartition, alpha_from_strict, projective_report
@@ -32,7 +32,7 @@ __all__ = [
     "run_sweep",
 ]
 
-THEOREM_NAMES = ("1", "2", "3", "projective")
+THEOREM_NAMES = (*map(str, _IDENTITIES), "projective")
 
 
 def enumerate_partitions(k: int, n: int) -> Iterator[Partition]:
@@ -100,33 +100,34 @@ class SweepConfig(_Checked, namedtuple("SweepConfig", "max_k max_n theorems out 
 
 
 def _enumerate_cases(cfg: SweepConfig) -> Iterator[tuple]:
-    box = [t for t in cfg.theorems if t != "projective"]
+    box = tuple(t for t in cfg.theorems if t != "projective")
     if box:
         for n in range(1, cfg.max_n + 1):
             for k in range(1, cfg.max_k + 1):
                 for p in enumerate_partitions(k, n):
-                    for t in box:
-                        yield ("box", t, p.parts, k, n)
+                    yield ("box", box, p.parts, k, n)
     if "projective" in cfg.theorems:
         for k in range(1, cfg.max_k + 1):
             for lam_parts in _strict_parts(k):
                 yield ("projective", lam_parts, k)
 
 
-def _case_entry(case: tuple) -> dict:
-    """Check one case and return its report entry, verdict included."""
+def _case_entries(case: tuple) -> list[dict]:
+    """Check a partition for its identities, or a family member, and return the entries."""
     if case[0] == "box":
-        _, t, parts, k, n = case
+        _, theorems, parts, k, n = case
         p = Partition(parts, k, n)
-        ok = theorem_report(p, _decimal(t))["verdict"] == "pass"
-        entry = _case(p, t)
+        entries = [_case(p, t) for t in theorems]
+        witnesses = _witnesses(p, [_decimal(t) for t in theorems])
+        oks = [left == right and cert.verdict for _, left, right, cert in witnesses]
     else:
         _, lam_parts, k = case
         b = alpha_from_strict(StrictPartition(lam_parts, k))
-        ok = projective_report(b)["theorem"] == "pass"
-        entry = _case(b.alpha, "projective", {"lambda": list(lam_parts)})
-    entry["verdict"] = "pass" if ok else "fail"
-    return entry
+        entries = [_case(b.alpha, "projective", {"lambda": list(lam_parts)})]
+        oks = [projective_report(b)["theorem"] == "pass"]
+    for entry, ok in zip(entries, oks):
+        entry["verdict"] = "pass" if ok else "fail"
+    return entries
 
 
 class SweepReport(NamedTuple):
@@ -171,8 +172,8 @@ def _cpus() -> int:
 
 
 def _worker_count(jobs: int, n_cases: int) -> int:
-    """Processes a sweep starts: jobs, capped by the case count and by
-    ``_cpus()``."""
+    """Processes a sweep starts: jobs, capped by the case count (partitions
+    and family members) and by ``_cpus()``."""
     return max(1, min(jobs, _cpus(), n_cases))
 
 
@@ -192,13 +193,13 @@ def _check_out(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _fold(entries: Iterable[dict]) -> tuple[list[dict], dict[str, int], dict | None]:
-    """Keep each entry as it arrives, with the counts per identity and the
-    first failing entry, given its ``repro`` command line."""
+def _fold(batches: Iterable[list[dict]]) -> tuple[list[dict], dict[str, int], dict | None]:
+    """Keep each entry of each case's list as it arrives, with the counts per
+    identity and the first failing entry, given its ``repro`` command line."""
     kept: list[dict] = []
     counts: dict[str, int] = {}
     first = None
-    for entry in entries:
+    for entry in chain.from_iterable(batches):
         kept.append(entry)
         counts[entry["theorem"]] = counts.get(entry["theorem"], 0) + 1
         if first is None and entry["verdict"] == "fail":
@@ -219,12 +220,12 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     if workers > 1:
         from multiprocessing import Pool  # here, so a serial sweep never loads it
 
-        # each finished chunk wakes the fold: chunks of 16 cost the parent
-        # about 1 s more CPU than 64 over box 7 on two workers
+        # each finished chunk of partitions wakes the fold: over box 7 on two
+        # workers, chunks of 16 cost the parent about 0.5 s more CPU than 64
         with Pool(workers) as pool:
-            entries, counts, first = _fold(pool.imap(_case_entry, cases, chunksize=64))
+            entries, counts, first = _fold(pool.imap(_case_entries, cases, chunksize=64))
     else:
-        entries, counts, first = _fold(map(_case_entry, cases))
+        entries, counts, first = _fold(map(_case_entries, cases))
     report = SweepReport(
         config=cfg,
         cases=tuple(entries),

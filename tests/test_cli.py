@@ -245,12 +245,32 @@ class TestSweep:
         assert data["verdict"] == "pass"
         assert data["config"] == {"maxK": 1, "maxN": 1, "theorems": ["1", "2", "3"]}
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_report_to_stdout_redirected_to_a_file(self, tmp_path):
+        # /dev/stdout is opened anew at offset 0, so the summary printed on
+        # stdout after the report used to overwrite the report's first bytes
+        env = dict(os.environ)
+        package_root = str(Path(hookpair.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "hookpair.cli", "sweep", "--max-k", "2", "--max-n", "2"]
+        redirected, written = tmp_path / "stdout.json", tmp_path / "r.json"
+        with open(redirected, "wb") as fh:
+            through_stdout = subprocess.run([*argv, "--out", "/dev/stdout"], stdout=fh,
+                                            stderr=subprocess.PIPE, env=env, timeout=60)
+        to_file = subprocess.run([*argv, "--out", str(written)], capture_output=True,
+                                 env=env, timeout=60)
+        summary = b"checked 42 cases: pass\n"
+        assert (through_stdout.returncode, through_stdout.stderr) == (0, summary)
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, summary, b"")
+        assert redirected.read_bytes() == written.read_bytes()
+        assert json.loads(redirected.read_bytes())["verdict"] == "pass"
+
     def test_missing_out_directory_exits_before_any_case(self, capsys, tmp_path, monkeypatch):
         # the whole sweep used to run before the report failed to open
-        def case_entry(case):
+        def case_entries(case):
             raise AssertionError(f"checked {case} before the report's target")
 
-        monkeypatch.setattr(sweep_mod, "_case_entry", case_entry)
+        monkeypatch.setattr(sweep_mod, "_case_entries", case_entries)
         out_path = tmp_path / "missing" / "r.json"
         code, out, err = run_cli(
             "sweep", "--max-k", "5", "--max-n", "5", "--out", str(out_path),

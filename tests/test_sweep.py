@@ -5,11 +5,15 @@ import math
 import multiprocessing
 import shlex
 import tracemalloc
+from collections import Counter
 
 import pytest
 
+import hookpair.bijections as bj
 import hookpair.cli as cli
 import hookpair.sweep as sweep_mod
+from hookpair.bijections import theorem_report
+from hookpair.diagrams import Partition
 from hookpair.errors import HookpairError, IndexOutOfRange, NotAnInteger, UnknownChoice
 from hookpair.projective import is_class_B
 from hookpair.sweep import (
@@ -233,14 +237,15 @@ FAILING_FAMILY = {((1,), 1), ((2, 1), 2)}
 
 @pytest.fixture
 def planted_failures(monkeypatch):
-    real_theorem = sweep_mod.theorem_report
+    real_witnesses = sweep_mod._witnesses
     real_projective = sweep_mod.projective_report
 
-    def theorem_report(p, theorem):
-        report = real_theorem(p, theorem)
-        if (str(theorem), p.parts, p.n) in FAILING_BOX:
-            report = dict(report, verdict="fail")
-        return report
+    def witnesses(p, which):
+        which = list(which)
+        for theorem, (stat, left, right, cert) in zip(which, real_witnesses(p, which)):
+            if (str(theorem), p.parts, p.n) in FAILING_BOX:
+                cert = cert._replace(verdict=False)
+            yield stat, left, right, cert
 
     def projective_report(b):
         report = real_projective(b)
@@ -248,7 +253,7 @@ def planted_failures(monkeypatch):
             report = dict(report, theorem="fail")
         return report
 
-    monkeypatch.setattr(sweep_mod, "theorem_report", theorem_report)
+    monkeypatch.setattr(sweep_mod, "_witnesses", witnesses)
     monkeypatch.setattr(sweep_mod, "projective_report", projective_report)
 
 
@@ -353,7 +358,8 @@ class TestRunningFold:
         if name == "failing":
             request.getfixturevalue("planted_failures")
         cfg = SweepConfig(**SWEEPS[name], jobs=jobs)
-        entries = [sweep_mod._case_entry(c) for c in list(sweep_mod._enumerate_cases(cfg))]
+        cases = list(sweep_mod._enumerate_cases(cfg))
+        entries = [e for c in cases for e in sweep_mod._case_entries(c)]
         counts, first = sweep_fold_reference(entries)
         report = run_sweep(cfg)
         assert list(report.cases) == entries
@@ -375,10 +381,10 @@ class TestUnusableOut:
 
     @pytest.fixture
     def no_cases(self, monkeypatch):
-        def case_entry(case):
+        def case_entries(case):
             raise AssertionError(f"checked {case} before the report's target")
 
-        monkeypatch.setattr(sweep_mod, "_case_entry", case_entry)
+        monkeypatch.setattr(sweep_mod, "_case_entries", case_entries)
 
     def sweep(self, out):
         return run_sweep(SweepConfig(max_k=3, max_n=3, theorems=("1",), out=str(out)))
@@ -402,11 +408,11 @@ class TestUnusableOut:
         out = tmp_path / "r.json"
         out.write_text("earlier report\n")
 
-        def case_entry(case):
+        def case_entries(case):
             assert out.read_text() == "earlier report\n"
             raise RuntimeError("stopped in the first case")
 
-        monkeypatch.setattr(sweep_mod, "_case_entry", case_entry)
+        monkeypatch.setattr(sweep_mod, "_case_entries", case_entries)
         with pytest.raises(RuntimeError):
             self.sweep(out)
         assert out.read_text() == "earlier report\n"
@@ -442,12 +448,102 @@ class TestWorkerCount:
 
 class TestCaseEntry:
     def test_box_entry(self):
-        entry = sweep_mod._case_entry(("box", "3", (2, 1), 2, 3))
-        assert entry == {"theorem": "3", "alpha": [2, 1], "k": 2, "n": 3,
-                         "verdict": "pass"}
+        entries = sweep_mod._case_entries(("box", ("3",), (2, 1), 2, 3))
+        assert entries == [{"theorem": "3", "alpha": [2, 1], "k": 2, "n": 3,
+                            "verdict": "pass"}]
 
     def test_projective_entry(self):
         # lambda (2,) with k=2 gives alpha (3, 1)
-        entry = sweep_mod._case_entry(("projective", (2,), 2))
-        assert entry == {"theorem": "projective", "alpha": [3, 1],
-                         "lambda": [2], "k": 2, "n": 3, "verdict": "pass"}
+        entries = sweep_mod._case_entries(("projective", (2,), 2))
+        assert entries == [{"theorem": "projective", "alpha": [3, 1],
+                            "lambda": [2], "k": 2, "n": 3, "verdict": "pass"}]
+
+
+class TestOnePassPerPartition:
+    """A box sweep checks each partition's identities in one witness pass,
+    with the verdicts ``theorem_report`` gives them one by one."""
+
+    ORDERS = [("1", "2", "3"), ("3", "1")]
+
+    @staticmethod
+    def assert_verdicts_match(cfg):
+        report = run_sweep(cfg)
+        for entry in report.cases:
+            p = Partition(tuple(entry["alpha"]), entry["k"], entry["n"])
+            expected = theorem_report(p, int(entry["theorem"]))["verdict"]
+            assert entry["verdict"] == expected, entry
+        return report
+
+    @pytest.mark.parametrize("theorems", ORDERS)
+    def test_verdicts_match_reports(self, theorems):
+        report = self.assert_verdicts_match(SweepConfig(max_k=5, max_n=5, theorems=theorems))
+        partitions = sum(math.comb(n + k, k) for n in range(1, 6) for k in range(1, 6))
+        assert report.counts == {t: partitions for t in theorems}
+        assert report.verdict == "pass"
+
+    def plant_star_image(self, monkeypatch):
+        # images bound for D are tagged R: psi fails wherever D has a cell,
+        # phi is untouched
+        real = bj._star_image
+
+        def retagged(p, star_rows, y):
+            target, tag = real(p, star_rows, y)
+            return target, "R"
+
+        monkeypatch.setattr(bj, "_star_image", retagged)
+
+    def plant_phi_target(self, monkeypatch):
+        # the second strip cell is sent where the first one goes
+        real = bj._phi
+
+        def collided(p, stats):
+            entries = list(real(p, stats))
+            if len(entries) > 1:
+                entries[1] = entries[1]._replace(target=entries[0].target)
+            return entries
+
+        monkeypatch.setattr(bj, "_phi", collided)
+
+    @pytest.mark.parametrize("fault", ["plant_star_image", "plant_phi_target"])
+    @pytest.mark.parametrize("theorems", ORDERS)
+    def test_verdicts_match_reports_under_faults(self, monkeypatch, fault, theorems):
+        getattr(self, fault)(monkeypatch)
+        report = self.assert_verdicts_match(SweepConfig(max_k=3, max_n=3, theorems=theorems))
+        verdicts = {(e["theorem"], e["verdict"]) for e in report.cases}
+        assert ("1", "fail") in verdicts and ("1", "pass") in verdicts
+        if fault == "plant_star_image":
+            assert ("3", "fail") not in verdicts
+
+    def test_one_phi_and_one_table_per_region_per_partition(self, monkeypatch):
+        phis, tables = [], []
+        real_phi, real_stats = bj._phi, bj._region_stats
+
+        def phi(p, stats):
+            phis.append(p)
+            return real_phi(p, stats)
+
+        def region_stats(p, kind):
+            tables.append((p, kind))
+            return real_stats(p, kind)
+
+        def theorem_report(p, which):
+            raise AssertionError(f"a sweep ran theorem_report({p}, {which})")
+
+        monkeypatch.setattr(bj, "_phi", phi)
+        monkeypatch.setattr(bj, "_region_stats", region_stats)
+        monkeypatch.setattr(bj, "theorem_report", theorem_report)
+        monkeypatch.setattr(sweep_mod, "theorem_report", theorem_report, raising=False)
+        report = run_sweep(SweepConfig(max_k=3, max_n=3, theorems=("1", "2", "3")))
+        partitions = [p for n in (1, 2, 3) for k in (1, 2, 3) for p in enumerate_partitions(k, n)]
+        assert report.verdict == "pass" and len(report.cases) == 3 * len(partitions)
+        assert phis == partitions
+        assert Counter(tables) == {(p, kind): 1 for p in partitions
+                                   for kind in ("SQ", "R", "D", "T", "Tstar")}
+
+    def test_entries_follow_the_selected_order(self):
+        report = run_sweep(SweepConfig(max_k=2, max_n=2, theorems=("3", "1")))
+        assert [e["theorem"] for e in report.cases] == ["3", "1"] * 14
+        assert report.cases[:2] == (
+            {"alpha": [0], "k": 1, "n": 1, "theorem": "3", "verdict": "pass"},
+            {"alpha": [0], "k": 1, "n": 1, "theorem": "1", "verdict": "pass"},
+        )

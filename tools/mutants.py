@@ -274,6 +274,25 @@ MUTANTS = (
         "a certificate counts an image cell as covered under any tag",
     ),
     Mutant(
+        "identity-1-reads-al", BIJECTIONS,
+        "1: (\"hook\", \"SQ\", (\"R\", \"D\")),",
+        "1: (\"al\", \"SQ\", (\"R\", \"D\")),",
+        "identity 1 compares (arm, leg) pairs instead of hooks",
+    ),
+    Mutant(
+        "identity-3-from-sq", BIJECTIONS,
+        "3: (\"al\", \"T\", (\"Tstar\",)),",
+        "3: (\"al\", \"SQ\", (\"Tstar\",)),",
+        "identity 3 measures SQ and certifies psi against T*",
+    ),
+    Mutant(
+        "sweep-first-verdict-for-all", SWEEP,
+        "oks = [left == right and cert.verdict for _, left, right, cert in witnesses]",
+        "oks = [left == right and cert.verdict for _, left, right, cert in witnesses][:1]"
+        " * len(entries)",
+        "a box sweep gives every identity of a partition the first identity's verdict",
+    ),
+    Mutant(
         "pool-at-module-top", SWEEP,
         "import time\n",
         "import time\nfrom multiprocessing import Pool\n",
