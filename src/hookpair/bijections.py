@@ -24,7 +24,6 @@ from .diagrams import (
     CellSet,
     Partition,
     StatTable,
-    _arm_slice,
     _case,
     _counterexample,
     _region_rows,
@@ -35,7 +34,7 @@ from .diagrams import (
     hook_multiset_to_json,
     multiset_to_json,
 )
-from .dyck import build_dyck, build_sigma, pair_updown
+from .dyck import _pairings
 from .errors import (
     CellNotInSet,
     CellNotInT,
@@ -116,22 +115,20 @@ def rot_T(p: Partition, x: Cell) -> Cell:
 
 
 def _phi(p: Partition, stats: StatTable) -> list[MapEntry]:
-    """phi_map's entries, each (arm, leg) read from a stat table holding T.
+    """phi_map's entries, each (arm, leg) read from a stat table holding T:
+    at cut i, x_j = (j, hi_j - i + 1) goes to (P, hi*_P - i + 1) in T*, with
+    P = P_i(j) from ``_pairings``.
 
     SQ's table serves too: SQ is T with V stacked above it, so a strip cell
     has the same arm and leg in both.
     """
-    star_rows = _region_rows(p, "Tstar")
+    ends = [hi for _, hi in _region_rows(p, "T")]
+    star_ends = [hi for _, hi in _region_rows(p, "Tstar")]
     entries = []
-    for i in range(1, p.n + 1):
-        sigma = build_sigma(p, i)
-        pairing = pair_updown(build_dyck(sigma))
-        targets = _arm_slice(star_rows, i)
-        for lab in sigma:
-            if lab.kind != "x":
-                continue
-            target = targets[pairing[lab.index] - 1]
-            entries.append(MapEntry(lab.cell, target, "Tstar", stats[lab.cell]))
+    for i, pairing in _pairings(p):
+        for j, (hi, P) in enumerate(zip(ends, pairing), 1):
+            x = (j, hi - i + 1)
+            entries.append(MapEntry(x, (P, star_ends[P - 1] - i + 1), "Tstar", stats[x]))
     return entries
 
 

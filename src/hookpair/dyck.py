@@ -12,7 +12,7 @@ canonical matching of up steps with down steps is the permutation computed by
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .diagrams import Cell, Partition, _arm_slice, _region_rows, _require_cut, _require_int
 from .errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
@@ -196,3 +196,33 @@ def pair_updown(d: DyckPath) -> dict[int, int]:
 def pairing_tuple(pairing: dict[int, int]) -> tuple[int, ...]:
     """Pairing as the tuple (P(1), ..., P(k))."""
     return tuple(pairing[j] for j in sorted(pairing))
+
+
+def _pair_columns(xs: list[int], zs: list[int]) -> tuple[int, ...]:
+    """P as ``pairing_tuple`` gives it for the word with x_j in column
+    xs[j-1] and row r's z, z_{k+1-r}, in column zs[r-1]: both rise with the
+    row, so the word is their merge, an x before a z in its column."""
+    k, m = len(zs), len(xs)
+    pairing = [0] * m
+    stack = []
+    j = 0
+    for r, z in enumerate(zs):
+        while j < m and xs[j] <= z:
+            stack.append(j)
+            j += 1
+        if not stack:
+            raise NoMatchingDownStep(f"down step z{k - r} has no open up step")
+        pairing[stack.pop()] = k - r
+    if stack or j < m:
+        raise NoMatchingDownStep(f"{len(stack) + m - j} up steps were never matched")
+    return tuple(pairing)
+
+
+def _pairings(p: Partition) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(i, P_i) at every cut i = 1..n, with no label or path: x_j sits in
+    column hi_j - i + 1 of strip row j, and row r's z at its end hi_r."""
+    strip = _region_rows(p, "T")
+    _arm_slice(strip, p.n)  # every row holds n cells, so each x lies in its row
+    ends = [hi for _, hi in strip]
+    for i in range(1, p.n + 1):
+        yield i, _pair_columns([hi - i + 1 for hi in ends], ends)

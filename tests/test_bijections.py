@@ -36,11 +36,13 @@ from hookpair.errors import (
     NotAnInteger,
     UnknownChoice,
 )
+from hookpair.sweep import SweepConfig, run_sweep
 
 from util import (
     arm_by_scan,
     count_cellsets,
     count_region_builds,
+    dyck_reference_calls,
     leg_by_scan,
     partitions,
     phi_reference_json,
@@ -179,6 +181,42 @@ class TestPhiReference:
     @given(partitions(max_k=8, max_n=8))
     def test_matches_reference_sample(self, p):
         assert phi_map(p).to_json() == phi_reference_json(p)
+
+
+class TestPairingKernelCallers:
+    """phi reads each cut's pairing from dyck._pairings: no report, sweep or
+    map builds a label, a word or a path.  ``hookpair dyck`` still does."""
+
+    def test_reports_sweeps_and_maps_build_no_path(self, monkeypatch):
+        runs = [lambda: run_sweep(SweepConfig(max_k=3, max_n=3, theorems=("1", "2", "3")))]
+        for p in (FIG, BIG, TWO_CELL):
+            runs += [lambda p=p: phi_map(p), lambda p=p: psi_map(p)]
+            runs += [lambda p=p, w=w: theorem_report(p, w) for w in (1, 2, 3)]
+        for run in runs:
+            assert dyck_reference_calls(monkeypatch, run) == []
+
+    def test_dyck_command_builds_the_path(self, monkeypatch, capsys):
+        def run():
+            assert main(["dyck", "--k", "9", "--n", "11", "--alpha",
+                         "11,11,9,8,8,6,3,1,0", "--i", "3"]) == 0
+
+        called = dyck_reference_calls(monkeypatch, run)
+        assert called == ["build_dyck", "build_sigma", "label_cells", "pair_updown"]
+        assert capsys.readouterr().out.splitlines()[-1] == "P_3: (4, 8, 9, 5, 7, 6, 1, 3, 2)"
+
+    def test_psi_strip_cells_follow_reference_phi(self):
+        # the reference builds phi with no kernel; psi sends each strip cell
+        # to zeta_2 or zeta_3 of its reference image
+        for p in sweep_partitions(5, 5):
+            z2, z3 = zeta_map(p, 2), zeta_map(p, 3)
+            psi = psi_map(p)
+            for e in phi_reference_json(p):
+                target = tuple(e["to"])
+                follow = z2[target] if target in z2 else z3[target]
+                got = psi[tuple(e["from"])]
+                assert (got.target, got.target_tag) == (
+                    follow.target, follow.target_tag
+                ), (p, e)
 
 
 class TestRegionBuilds:

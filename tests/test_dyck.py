@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hookpair.diagrams import Partition, arm_prefix, build_region
+from hookpair.diagrams import Partition, _region_rows, arm_prefix, build_region
 from hookpair.dyck import (
     DyckPath,
     Label,
     SigmaSequence,
+    _pair_columns,
+    _pairings,
     build_dyck,
     build_sigma,
     label_cells,
@@ -17,7 +19,7 @@ from hookpair.dyck import (
 )
 from hookpair.errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath, NotAnInteger
 
-from util import partitions, sweep_partitions
+from util import complement, partitions, sweep_partitions
 
 # Large worked case used throughout: k=9, n=11.
 BIG = Partition((11, 11, 9, 8, 8, 6, 3, 1, 0), k=9, n=11)
@@ -259,3 +261,75 @@ class TestPairing:
         broken = DyckPath(tuple(reversed(d.steps)), d.ordinates)
         with pytest.raises(NoMatchingDownStep):
             pair_updown(broken)
+
+
+def reference_pairings(p):
+    """(i, P_i) at every cut, read off the label word and its path."""
+    return [
+        (i, pairing_tuple(pair_updown(build_dyck(build_sigma(p, i)))))
+        for i in range(1, p.n + 1)
+    ]
+
+
+class TestPairingKernel:
+    """_pairings reads P_i off two sorted column lists; the label word, the
+    path and pair_updown are its reference."""
+
+    def test_matches_reference_sweep(self):
+        cuts = 0
+        for p in sweep_partitions(6, 6):
+            got = list(_pairings(p))
+            assert got == reference_pairings(p), p
+            cuts += len(got)
+        assert cuts == 17569
+
+    @given(partitions(max_k=20, max_n=20))
+    def test_matches_reference_sample(self, p):
+        assert list(_pairings(p)) == reference_pairings(p)
+
+    def test_big_case_golden(self):
+        assert dict(_pairings(BIG))[3] == (4, 8, 9, 5, 7, 6, 1, 3, 2)
+
+    @pytest.mark.parametrize(
+        "xs, zs",
+        [
+            pytest.param([5, 6], [1, 2], id="down-step-first"),
+            pytest.param([1, 3], [2, 2], id="down-step-before-second-up"),
+            pytest.param([1, 2], [3], id="up-step-left-open"),
+            pytest.param([1, 9], [2], id="up-step-after-every-down"),
+        ],
+    )
+    def test_unbalanced_columns_raise(self, xs, zs):
+        with pytest.raises(NoMatchingDownStep):
+            _pair_columns(xs, zs)
+
+    def test_short_strip_row_raises(self, monkeypatch):
+        # a strip row narrower than n would put some x left of its row
+        import hookpair.dyck as dk
+
+        monkeypatch.setattr(dk, "_region_rows", lambda p, kind: [(1, 3), (3, 4)])
+        with pytest.raises(IndexOutOfRange):
+            next(_pairings(Partition((2, 0), k=2, n=3)))
+
+    def test_identity_tail(self):
+        # from the cut a_1 - a_k + 1 on, every x column lies left of or at
+        # every row end, so the word is x_1 .. x_k z_k .. z_1
+        cuts = 0
+        for p in sweep_partitions(6, 6):
+            identity = tuple(range(1, p.k + 1))
+            for i, pairing in _pairings(p):
+                if i >= p.part(1) - p.part(p.k) + 1:
+                    assert pairing == identity, (p, i)
+                    cuts += 1
+        assert cuts == 5950
+
+    def test_complement_inverts_pairings(self):
+        # with beta_i = a_1 - a_{k+1-i}, T*(alpha) is T(beta) and P_beta,i
+        # undoes P_alpha,i at every cut
+        for p in sweep_partitions(6, 6):
+            beta = complement(p)
+            assert _region_rows(p, "Tstar") == _region_rows(beta, "T"), p
+            for (i, pa), (_, pb) in zip(_pairings(p), _pairings(beta)):
+                assert tuple(pb[pa[j] - 1] for j in range(p.k)) == tuple(
+                    range(1, p.k + 1)
+                ), (p, i)

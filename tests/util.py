@@ -128,6 +128,34 @@ def count_calls(monkeypatch, module, name, run):
     return calls
 
 
+def dyck_reference_calls(monkeypatch, run):
+    """Sorted names of the reference label and path functions of
+    hookpair.dyck called while run() runs, each once, from any hookpair
+    module that imported them."""
+    import hookpair.dyck as dk
+
+    called = set()
+    for name in ("label_cells", "build_sigma", "build_dyck", "pair_updown"):
+        original = getattr(dk, name)
+
+        def counting(*args, _name=name, _original=original):
+            called.add(_name)
+            return _original(*args)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("hookpair") and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counting)
+    run()
+    monkeypatch.undo()
+    return sorted(called)
+
+
+def complement(p):
+    """The partition beta in p's box with beta_i = a_1 - a_{k+1-i}."""
+    a = p.parts
+    return Partition(tuple(a[0] - a[p.k - i] for i in range(1, p.k + 1)), p.k, p.n)
+
+
 def plant_one_arm_run(runs, arm, leg, count=1):
     """Add ``count`` cells with this (arm, leg) to a run map (remove them
     when negative), as a run of one arm."""

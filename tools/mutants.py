@@ -336,6 +336,24 @@ MUTANTS = (
         "z labels step up and x labels down",
     ),
     Mutant(
+        "pairing-tie-toward-z", DYCK,
+        "while j < m and xs[j] <= z:",
+        "while j < m and xs[j] < z:",
+        "the pairing kernel's merge puts a z before an x in the same column",
+    ),
+    Mutant(
+        "pairing-pops-oldest", DYCK,
+        "pairing[stack.pop()] = k - r",
+        "pairing[stack.pop(0)] = k - r",
+        "the pairing kernel matches a down step with the oldest open up step",
+    ),
+    Mutant(
+        "pairing-x-column-short", DYCK,
+        "[hi - i + 1 for hi in ends]",
+        "[hi - i for hi in ends]",
+        "the pairing kernel places x_j at the arm-i cell of its row, one column left",
+    ),
+    Mutant(
         "decimal-takes-plus", DIAGRAMS,
         "r\"-?[0-9]+\"",
         "r\"[-+]?[0-9]+\"",
