@@ -110,7 +110,7 @@ def rot_T(p: Partition, x: Cell) -> Cell:
     strip = build_region(p, "T")
     if x not in strip:
         raise CellNotInT(f"cell {x} is not in the strip of {p}")
-    r, c = x
+    r, c = _require_int(x[0], "row"), _require_int(x[1], "column")  # True and 1.0 hash like 1
     return (p.k + 1 - r, p.n + p.part(1) - p.part(p.k) + 1 - c)
 
 

@@ -240,6 +240,8 @@ class CellSet:
     def _require(self, cell: Cell) -> None:
         if cell not in self._cells:
             raise CellNotInSet(f"cell {cell} not in the set")
+        for value, what in zip(cell, ("row", "column")):  # True and 1.0 hash like 1
+            _require_int(value, what)
 
     def _require_nonempty(self) -> None:
         if not self._cells:
@@ -498,24 +500,14 @@ def _rotated_rows(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(cmax + 1 - hi, cmax + 1 - lo) for lo, hi in reversed(rows)]
 
 
-def _arm_slice(rows: list[tuple[int, int]], i: int, first: int = 1) -> list[Cell]:
-    """The arm-(i-1) cell (r, hi - i + 1) of every row from row ``first``
-    up, as ``arm_slice`` picks it; each of those rows must hold at least i
-    cells."""
-    cells = []
-    for r, (lo, hi) in enumerate(rows[first - 1 :], first):
-        if hi - lo + 1 < i:
-            raise IndexOutOfRange(f"row {r} has only {hi - lo + 1} cells, need {i}")
-        cells.append((r, hi - i + 1))
-    return cells
-
-
 def _arm_slice_legs(
     rows: list[tuple[int, int]], ends: list[int], i: int, first: int = 1
 ) -> list[int]:
-    """The legs of the ``_arm_slice`` cells of the rows from ``first`` up of
-    a rising shape, in row order, where ``ends`` is what ``_check_rising(rows)``
-    returned.  Rows below ``first`` count in the legs but give no cell.
+    """The legs of the arm-(i-1) cells (r, hi - i + 1), as ``arm_slice``
+    picks them, of the rows from ``first`` up of a rising shape, in row
+    order, where ``ends`` is what ``_check_rising(rows)`` returned.  Rows
+    below ``first`` count in the legs but give no cell; a row from ``first``
+    up that holds fewer than i cells raises IndexOutOfRange.
 
     The leg of the cell in column c = hi - i + 1 is the number of non-empty
     rows below it less those that end left of c.  The row ends are sorted

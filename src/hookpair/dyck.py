@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .diagrams import Cell, Partition, _arm_slice, _region_rows, _require_cut, _require_int
+from .diagrams import Cell, Partition, _region_rows, _require_cut, _require_int
 from .errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
 
 __all__ = [
@@ -136,9 +136,9 @@ def label_cells(p: Partition, i: int) -> tuple[list[Label], list[Label]]:
     families occupy the same cells.
     """
     _require_cut(p, i)
-    strip = _region_rows(p, "T")
-    xs = [Label("x", j, x) for j, x in enumerate(_arm_slice(strip, i), 1)]
-    zs = [Label("z", j, z) for j, z in enumerate(reversed(_arm_slice(strip, 1)), 1)]
+    ends = [hi for _, hi in _region_rows(p, "T")]
+    xs = [Label("x", j, (j, hi - i + 1)) for j, hi in enumerate(ends, 1)]
+    zs = [Label("z", j, (p.k + 1 - j, ends[-j])) for j in range(1, p.k + 1)]
     return xs, zs
 
 
@@ -221,8 +221,10 @@ def _pair_columns(xs: list[int], zs: list[int]) -> tuple[int, ...]:
 def _pairings(p: Partition) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(i, P_i) at every cut i = 1..n, with no label or path: x_j sits in
     column hi_j - i + 1 of strip row j, and row r's z at its end hi_r."""
-    strip = _region_rows(p, "T")
-    _arm_slice(strip, p.n)  # every row holds n cells, so each x lies in its row
-    ends = [hi for _, hi in strip]
+    ends = []
+    for r, (lo, hi) in enumerate(_region_rows(p, "T"), 1):
+        if hi - lo + 1 < p.n:  # every row holds n cells, so each x lies in its row
+            raise IndexOutOfRange(f"row {r} has only {hi - lo + 1} cells, need {p.n}")
+        ends.append(hi)
     for i in range(1, p.n + 1):
         yield i, _pair_columns([hi - i + 1 for hi in ends], ends)

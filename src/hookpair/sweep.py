@@ -84,9 +84,9 @@ class SweepConfig(_Checked, namedtuple("SweepConfig", "max_k max_n theorems out 
             _require_int(max_n, "max_n", 1)
         if isinstance(theorems, str):
             raise UnknownChoice(f"theorems must list identity names, not {theorems!r}")
+        theorems = tuple(theorems)
         if not theorems:
             raise UnknownChoice("at least one identity must be selected")
-        theorems = tuple(theorems)
         for t in theorems:
             if t not in THEOREM_NAMES:
                 raise UnknownChoice(f"unknown identity {t!r}")
@@ -171,18 +171,12 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int, n_cases: int) -> int:
-    """Processes a sweep starts: jobs, capped by the case count (partitions
-    and family members) and by ``_cpus()``."""
-    return max(1, min(jobs, _cpus(), n_cases))
-
-
 def _check_out(path: str) -> None:
     """Raise the OSError that writing a report to path would meet, without
-    opening it: a missing directory, or a file or directory this process may
-    not write.  A report already there is left as it is."""
+    opening it: an empty path, a missing directory, or a file or directory
+    this process may not write.  A report already there is left as it is."""
     parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
+    if not path or not os.path.isdir(parent):
         code = errno.ENOENT
     elif os.path.isdir(path):
         code = errno.EISDIR
@@ -210,12 +204,12 @@ def _fold(batches: Iterable[list[dict]]) -> tuple[list[dict], dict[str, int], di
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Run every selected check over the enumerated inputs."""
     started = time.monotonic()
-    if cfg.out:
+    if cfg.out is not None:
         _check_out(cfg.out)
     cases = _enumerate_cases(cfg)
-    # the pool size needs only as many cases as there could be workers
+    # one worker per case read, so the pool is capped by jobs, CPUs and cases
     head = list(islice(cases, min(cfg.jobs, _cpus())))
-    workers = _worker_count(cfg.jobs, len(head))
+    workers = len(head)
     cases = chain(head, cases)
     if workers > 1:
         from multiprocessing import Pool  # here, so a serial sweep never loads it
@@ -233,6 +227,6 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         first_counterexample=first,
         duration=time.monotonic() - started,
     )
-    if cfg.out:
+    if cfg.out is not None:
         report.write(cfg.out)
     return report

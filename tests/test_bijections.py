@@ -117,6 +117,13 @@ class TestRotT:
         with pytest.raises(CellNotInT):
             rot_T(Partition((2, 1), k=2, n=2), (1, 3))
 
+    @pytest.mark.parametrize("x", [(1.0, 1), (1, 1.0), (True, 1), (1, True)])
+    def test_rejects_non_int_coordinates(self, x):
+        # (1.0, 1) and (True, 1) hash like the strip cell (1, 1): the first
+        # used to come back as (2.0, 2)
+        with pytest.raises(NotAnInteger):
+            rot_T(Partition((1, 0), k=2, n=1), x)
+
 
 class TestPhi:
     def test_two_cell_map(self):

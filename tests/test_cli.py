@@ -279,6 +279,18 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"error: [Errno 2] No such file or directory: '{out_path}'\n"
 
+    def test_empty_out_exits_before_any_case(self, capsys, monkeypatch):
+        # it used to run every case, write nothing and exit 0
+        def case_entries(case):
+            raise AssertionError(f"checked {case} before the report's target")
+
+        monkeypatch.setattr(sweep_mod, "_case_entries", case_entries)
+        code, out, err = run_cli(
+            "sweep", "--max-k", "5", "--max-n", "5", "--out", "", capsys=capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+
     def test_bad_bounds_are_usage_errors(self, capsys):
         code, _, err = run_cli(
             "sweep", "--max-k", "0", "--max-n", "2", capsys=capsys

@@ -275,6 +275,14 @@ class TestCellSet:
         with pytest.raises(NotAnInteger):
             CellSet(cells)
 
+    @pytest.mark.parametrize("stat", ["arm", "leg", "coleg", "hook"])
+    @pytest.mark.parametrize("cell", [(1.0, 1), (1, 1.0), (True, 1), (1, True)])
+    def test_statistics_reject_non_int_coordinates(self, stat, cell):
+        # each hashes like the member (1, 1), so it used to be measured
+        g = CellSet({(1, 1), (1, 2), (2, 1)})
+        with pytest.raises(NotAnInteger):
+            getattr(g, stat)(cell)
+
     @pytest.mark.parametrize("bounds", [(1, 2.0), (1.0, 2), (True, 2), (1, "2")])
     def test_json_rejects_non_int_bounds(self, bounds):
         lo, hi = bounds

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hookpair.diagrams import (
     CellSet,
     Partition,
-    _arm_slice,
     _arm_slice_legs,
     _check_rising,
     _region_rows,
@@ -432,25 +431,26 @@ class TestRowIntervals:
 
     @given(rising_shapes(), st.integers(1, 12))
     def test_arm_slice_legs_on_rising_shapes(self, rows, i):
-        # from every row; where a row from first up is short, both raise
-        # for the same row
+        # from every row; where a row from first up is short, the first
+        # such row is named
         g = CellSet.from_row_intervals(dict(enumerate(rows, 1)))
         ends = _check_rising(rows)
         for first in range(1, len(rows) + 2):
-            try:
-                _arm_slice(rows, i, first)
-            except IndexOutOfRange as want:
+            short = [(r, hi - lo + 1) for r, (lo, hi) in enumerate(rows, 1)
+                     if r >= first and hi - lo + 1 < i]
+            if short:
+                r, w = short[0]
                 with pytest.raises(IndexOutOfRange) as got:
                     _arm_slice_legs(rows, ends, i, first)
-                assert str(got.value) == str(want), (rows, i, first)
+                assert str(got.value) == f"row {r} has only {w} cells, need {i}"
                 continue
             cells = [(r, g.row_cols(r)[-i]) for r in range(first, len(rows) + 1)]
             want = [leg_by_scan(g, x) for x in cells]
             assert _arm_slice_legs(rows, ends, i, first) == want, (rows, i, first)
 
     def test_short_row_has_no_arm_slice(self):
-        with pytest.raises(IndexOutOfRange):
-            _arm_slice([(1, 3), (2, 3)], 3)
+        with pytest.raises(IndexOutOfRange, match="^row 2 has only 2 cells, need 3$"):
+            _arm_slice_legs([(1, 3), (2, 3)], [3, 3], 3)
 
 
 class TestMDecomposition:

@@ -110,6 +110,10 @@ class TestSweepConfig:
         "max_n, theorems, message",
         [
             (3, (), "at least one identity must be selected"),
+            # an empty iterator is truthy: it used to pass as a sweep of no
+            # identity that reported pass over 0 cases
+            (3, iter([]), "at least one identity must be selected"),
+            (3, (t for t in ()), "at least one identity must be selected"),
             (3, ("4",), "unknown identity '4'"),
             (None, ("projective", "1"), "max_n must be given for box sweeps"),
             # it used to check every member and report "maxN": 1
@@ -121,8 +125,9 @@ class TestSweepConfig:
             (None, ("projective", "projective"),
              "an identity is named twice in ('projective', 'projective')"),
         ],
-        ids=["none", "unknown", "box-without-n", "projective-with-n", "string",
-             "string-projective", "repeated", "repeated-projective"],
+        ids=["none", "empty-iterator", "empty-generator", "unknown", "box-without-n",
+             "projective-with-n", "string", "string-projective", "repeated",
+             "repeated-projective"],
     )
     def test_choice_errors_are_package_errors(self, max_n, theorems, message):
         with pytest.raises(HookpairError) as exc:
@@ -394,6 +399,12 @@ class TestUnusableOut:
             self.sweep(tmp_path / "missing" / "r.json")
         assert exc.value.filename == str(tmp_path / "missing" / "r.json")
 
+    def test_empty_path(self, no_cases):
+        # it used to run every case and write nothing
+        with pytest.raises(FileNotFoundError) as exc:
+            self.sweep("")
+        assert exc.value.filename == ""
+
     def test_directory_as_target(self, no_cases, tmp_path):
         with pytest.raises(IsADirectoryError):
             self.sweep(tmp_path)
@@ -419,7 +430,28 @@ class TestUnusableOut:
 
 
 class TestWorkerCount:
-    """The pool size is computed without starting a pool."""
+    """The pool run_sweep opens, seen through a fake pool that records its
+    process count and maps in this process, so no process is started."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, iterable, chunksize=1):
+                return map(func, iterable)
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        return sizes
 
     @pytest.mark.parametrize(
         "jobs, cpus, cases, expected",
@@ -432,18 +464,32 @@ class TestWorkerCount:
             (4, 8, 0, 1),
         ],
     )
-    def test_capped_by_cpus_and_cases(self, monkeypatch, jobs, cpus, cases, expected):
+    def test_capped_by_cpus_and_cases(self, opened, monkeypatch, jobs, cpus, cases,
+                                      expected):
         # where the process's CPU set is unknown, the host's count caps the pool
         monkeypatch.delattr(sweep_mod.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
-        assert sweep_mod._worker_count(jobs, cases) == expected
+        case = ("box", ("1",), (1,), 1, 1)
+        monkeypatch.setattr(sweep_mod, "_enumerate_cases", lambda cfg: iter([case] * cases))
+        report = run_sweep(SweepConfig(max_k=1, max_n=1, theorems=("1",), jobs=jobs))
+        assert report.counts == ({"1": cases} if cases else {})
+        assert opened == ([expected] if expected > 1 else [])  # one worker: no pool
 
-    def test_capped_by_cpus_this_process_may_use(self, monkeypatch):
+    def test_capped_by_a_two_case_box(self, opened, monkeypatch):
+        monkeypatch.delattr(sweep_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 64)
+        cfg = SweepConfig(max_k=1, max_n=1, theorems=("1",), jobs=10**6)
+        report = run_sweep(cfg)
+        assert opened == [2]
+        assert report.to_json() == run_sweep(cfg._replace(jobs=1)).to_json()
+
+    def test_capped_by_cpus_this_process_may_use(self, opened, monkeypatch):
         # under taskset or a cpuset the host's count is too high
         monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        assert sweep_mod._worker_count(8, 100) == 1
+        run_sweep(SweepConfig(max_k=3, max_n=3, theorems=("1",), jobs=8))
+        assert opened == []
 
 
 class TestCaseEntry:

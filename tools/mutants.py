@@ -155,17 +155,17 @@ MUTANTS = (
         "cells of D on its diagonal count in m4",
     ),
     Mutant(
-        "short-row-unchecked", DIAGRAMS,
-        "        if hi - lo + 1 < i:\n"
-        "            raise IndexOutOfRange(f\"row {r} has only {hi - lo + 1} cells, need {i}\")\n",
-        "",
-        "a row shorter than i gets an arm-(i-1) cell left of the row",
+        "short-row-unchecked", DYCK,
+        "            raise IndexOutOfRange("
+        "f\"row {r} has only {hi - lo + 1} cells, need {p.n}\")\n",
+        "            pass\n",
+        "a strip row shorter than n puts some x of the pairing kernel left of its row",
     ),
     Mutant(
-        "arm-slice-column-short", DIAGRAMS,
-        "cells.append((r, hi - i + 1))",
-        "cells.append((r, hi - i))",
-        "the arm slice takes the arm-i cell of each row instead of the arm-(i-1) one",
+        "arm-slice-column-short", DYCK,
+        "Label(\"x\", j, (j, hi - i + 1))",
+        "Label(\"x\", j, (j, hi - i))",
+        "label_cells puts x_j on the arm-i cell of its row instead of the arm-(i-1) one",
     ),
     Mutant(
         "t1star-split-wide", DIAGRAMS,
@@ -303,6 +303,28 @@ MUTANTS = (
         "class Partition(_Checked, namedtuple(",
         "class Partition(namedtuple(",
         "Partition._make and _replace build a partition without its checks",
+    ),
+    Mutant(
+        "sweep-config-empty-unchecked", SWEEP,
+        "        theorems = tuple(theorems)\n"
+        "        if not theorems:\n"
+        "            raise UnknownChoice(\"at least one identity must be selected\")\n",
+        "        if not theorems:\n"
+        "            raise UnknownChoice(\"at least one identity must be selected\")\n"
+        "        theorems = tuple(theorems)\n",
+        "an empty iterator of identities is truthy and passes as a sweep of no identity",
+    ),
+    Mutant(
+        "out-empty-unchecked", SWEEP,
+        "if not path or not os.path.isdir(parent):",
+        "if not os.path.isdir(parent):",
+        "a sweep with an empty report path runs every case and writes nothing",
+    ),
+    Mutant(
+        "pool-ignores-cap", SWEEP,
+        "with Pool(workers) as pool:",
+        "with Pool(cfg.jobs) as pool:",
+        "a parallel sweep opens one process per job, past the CPUs and the cases",
     ),
     Mutant(
         "sweep-theorems-duplicates", SWEEP,
