@@ -5,6 +5,9 @@ exhaustive checks over a whole box (or the Frobenius family), ``show`` draws
 a region, ``dyck`` prints the label word, lattice path, and pairing for one
 cut, and ``map`` dumps a bijection as JSON.  Exit status is 0 when every
 check passes, 1 when a counterexample is found, and 2 on usage errors.
+
+``projective``, ``sweep`` and ``render`` are imported by the handlers that use
+them, so ``verify --theorem 1|2|3``, ``dyck`` and ``map`` never load them.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ from .bijections import _IDENTITIES, phi_map, psi_map, verify_theorem
 from .diagrams import Partition, _decimal, _require_int, build_region
 from .dyck import build_dyck, build_sigma, pair_updown
 from .errors import CounterexampleFound, HookpairError, NotAnInteger, NotInFamily
-from .projective import diagonal_spec, is_class_B, verify_projective
-from .render import render_ascii
-from .sweep import SweepConfig, run_sweep
 
 SHOW_KINDS = ("D", "R", "T", "V", "SQ", "Tstar")
 
@@ -51,6 +51,8 @@ def _partition(args) -> Partition:
 def _cmd_verify(args) -> int:
     p = _partition(args)
     if args.theorem == "proj":
+        from .projective import is_class_B, verify_projective
+
         b = is_class_B(p)
         if b is None:
             raise NotInFamily(f"alpha={p} is not in the n=k+1 Frobenius family")
@@ -62,6 +64,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import SweepConfig, run_sweep
+
     theorems = ("projective",) if args.projective else tuple(map(str, _IDENTITIES))
     jobs = args.jobs
     if jobs is None:
@@ -87,10 +91,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_show(args) -> int:
+    from .render import render_ascii
+
     p = _partition(args)
     g = build_region(p, args.region)
     diag = None
     if args.pq:
+        from .projective import diagonal_spec, is_class_B
+
         b = is_class_B(p)
         if b is None:
             raise NotInFamily(

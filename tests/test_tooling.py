@@ -150,6 +150,91 @@ def test_import_loads_no_heavy_modules(module):
     assert sorted(added & HEAVY_MODULES) == []
 
 
+def _submodules_after(code: str) -> list[str]:
+    """The hookpair submodules a fresh interpreter holds after running code."""
+    return sorted(m for m in _modules_after(code) if m.startswith("hookpair."))
+
+
+# a public name loads the modules up to its owner, in dependency order, and
+# a submodule attribute loads that module and its own imports
+LAZY_NAMES = {
+    "import hookpair": [],
+    "import hookpair; hookpair.Partition((2, 1), 2, 2)": [
+        "hookpair.diagrams", "hookpair.errors",
+    ],
+    "import hookpair; hookpair.verify_theorem(hookpair.Partition((2, 1), 2, 2), 2)": [
+        "hookpair.bijections", "hookpair.diagrams", "hookpair.dyck", "hookpair.errors",
+    ],
+    "import hookpair; hookpair.projective.StrictPartition": [
+        "hookpair.diagrams", "hookpair.errors", "hookpair.projective",
+    ],
+}
+
+
+@pytest.mark.parametrize("code", LAZY_NAMES)
+def test_lazy_package_loads_the_owners_only(code):
+    assert _submodules_after(code) == LAZY_NAMES[code]
+
+
+CLI_BASE = ["hookpair.bijections", "hookpair.cli", "hookpair.diagrams", "hookpair.dyck",
+            "hookpair.errors"]
+CASE = ["--k", "1", "--n", "2", "--alpha", "2"]
+
+# each subcommand loads the layers its handler uses and no others
+LAZY_SUBCOMMANDS = [
+    (["verify", "--theorem", "2", *CASE], []),
+    (["verify", "--theorem", "proj", *CASE], ["hookpair.projective"]),
+    (["show", "--region", "D", *CASE], ["hookpair.render"]),
+    (["show", "--region", "D", "--pq", *CASE], ["hookpair.projective", "hookpair.render"]),
+    (["dyck", "--i", "1", *CASE], []),
+    (["map", "--phi", *CASE], []),
+    (["sweep", "--max-k", "1", "--max-n", "1"], ["hookpair.projective", "hookpair.sweep"]),
+]
+
+
+@pytest.mark.parametrize("argv, extra", LAZY_SUBCOMMANDS,
+                         ids=[" ".join(argv) for argv, _ in LAZY_SUBCOMMANDS])
+def test_lazy_subcommand_loads_its_layers_only(argv, extra):
+    code = (
+        "import contextlib, io\nimport hookpair.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = hookpair.cli.main({argv!r})\n"
+        "assert status == 0, status"
+    )
+    assert _submodules_after(code) == sorted(CLI_BASE + extra)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from hookpair import *", namespace)
+    assert hookpair.__all__
+    assert [n for n in hookpair.__all__ if namespace.get(n) is not getattr(hookpair, n)] == []
+
+
+def test_dir_lists_every_public_name():
+    assert set(dir(hookpair)) >= set(hookpair.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hookpair.no_such_name
+    assert not hasattr(hookpair, "no_such_name")
+
+
+def test_package_reads_names_through_their_module(monkeypatch):
+    # bench/tracer.py rebinds functions in the submodules and relies on the
+    # package showing the rebound object
+    original = hookpair.verify_theorem
+
+    def fake(*args):
+        return None
+
+    monkeypatch.setattr(hookpair.bijections, "verify_theorem", fake)
+    assert hookpair.verify_theorem is fake
+    monkeypatch.undo()
+    assert hookpair.verify_theorem is original
+
+
 def _heavy_imports(tree: ast.AST, in_function: bool = False) -> list[str]:
     """'line: module' of every dataclasses import, and of every
     multiprocessing import outside a function."""

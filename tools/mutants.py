@@ -38,6 +38,7 @@ DIAGRAMS = "src/hookpair/diagrams.py"
 BIJECTIONS = "src/hookpair/bijections.py"
 SWEEP = "src/hookpair/sweep.py"
 DYCK = "src/hookpair/dyck.py"
+PACKAGE_INIT = "src/hookpair/__init__.py"
 
 
 @dataclass(frozen=True)
@@ -386,6 +387,33 @@ MUTANTS = (
         "if type(value) is not int:",
         "if not isinstance(value, int):",
         "True and False pass the integer check as 1 and 0",
+    ),
+    Mutant(
+        "package-records-objects", PACKAGE_INIT,
+        "                _owners[name] = module\n"
+        "                break\n"
+        "        else:\n"
+        "            raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")\n"
+        "    return getattr(_owners[name], name)\n",
+        "                _owners[name] = getattr(module, name)\n"
+        "                break\n"
+        "        else:\n"
+        "            raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")\n"
+        "    return _owners[name]\n",
+        "the package keeps the first object it read, so a name rebound in its module "
+        "(a timing wrapper) does not show",
+    ),
+    Mutant(
+        "package-projective-first", PACKAGE_INIT,
+        "\"dyck\", \"bijections\", \"projective\"",
+        "\"dyck\", \"projective\", \"bijections\"",
+        "looking up a bijections name loads projective too",
+    ),
+    Mutant(
+        "package-unknown-is-none", PACKAGE_INIT,
+        "            raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")\n",
+        "            return None\n",
+        "a misspelt name reads as None instead of failing",
     ),
 )
 
