@@ -3,7 +3,8 @@ statistic-preserving bijections and exhaustive identity checks.
 
 The submodules load on first use (PEP 562): ``import hookpair`` loads none of
 them, and ``hookpair.X`` loads the modules of ``_MODULES`` in turn up to the
-one whose ``__all__`` lists ``X``."""
+one whose ``__all__`` lists ``X``; a submodule name, ``cli`` included, loads
+that module alone with its own imports."""
 
 __version__ = "0.1.0"
 
@@ -25,7 +26,9 @@ def _module(name: str):
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    # from hookpair import cli asks for the attribute before it imports the
+    # submodule, so cli is loaded directly too rather than searched for
+    if name in _MODULES or name == "cli":
         return _module(name)
     if name == "__all__":
         return ["__version__", *(n for m in _MODULES for n in _module(m).__all__)]

@@ -261,13 +261,34 @@ class BijectionCertificate(NamedTuple):
         }
 
 
-def _measured(region: CellSet | StatTable, stat: str) -> dict[Cell, tuple[int, ...]]:
-    """{cell: statistic} over an ambient region; a CellSet is measured once here."""
+def _measured(region: CellSet | StatTable) -> StatTable:
+    """{cell: (arm, leg)} over an ambient region; a CellSet is measured once here."""
     if isinstance(region, CellSet):
-        region = {x: (region.arm(x), region.leg(x)) for x in region}
-    if stat == "hook":
-        return {x: (arm + leg + 1,) for x, (arm, leg) in region.items()}
+        return {x: (region.arm(x), region.leg(x)) for x in region}
     return region
+
+
+def _hook_view(cert: BijectionCertificate) -> BijectionCertificate:
+    """The hook certificate of a map, read off its (arm, leg) certificate.
+
+    The hook of a cell is arm + leg + 1 in every region, so each statistic
+    (a, l) becomes (a + l + 1,), a stat-mismatch whose hooks agree is dropped
+    and the others carry hooks; every other failure is the same for both
+    statistics.  Failures keep their order, and the verdict is recomputed.
+    """
+    records = tuple(
+        CertRecord(source, target, tag, (a + l + 1,), (b + m + 1,))
+        for source, target, tag, (a, l), (b, m) in cert.records
+    )
+    failures = []
+    for f in cert.failures:
+        if f["kind"] == "stat-mismatch":
+            (a, l), (b, m) = f["sourceStat"], f["targetStat"]
+            if a + l == b + m:
+                continue
+            f = {**f, "sourceStat": [a + l + 1], "targetStat": [b + m + 1]}
+        failures.append(f)
+    return BijectionCertificate(records, not failures, tuple(failures))
 
 
 def _multiset(stat: str, tables: Iterable[StatTable]) -> Counter:
@@ -291,16 +312,19 @@ def build_certificate(
     entries share a target, if the tagged images do not exactly cover the
     expected cells, or if any entry changes the chosen statistic.  Regions
     may be CellSets or stat tables {cell: (arm, leg)}; each ambient CellSet
-    is measured once, on entry.
+    is measured once, on entry.  The hook certificate is the hook view of
+    the (arm, leg) one.
     """
     if stat not in ("al", "hook"):
         raise UnknownChoice(f"stat must be 'al' or 'hook', got {stat!r}")
-    source = _measured(source_ambient, stat)
+    if stat == "hook":
+        return _hook_view(build_certificate(cmap, source_ambient, source_members, targets))
+    source = _measured(source_ambient)
     images = {}
     for tag, (ambient, members) in targets.items():
         if isinstance(members, CellSet):
             members = members.cells
-        images[tag] = _measured(ambient, stat), members
+        images[tag] = _measured(ambient), members
     failures: list[dict] = []
     records: list[CertRecord] = []
 
@@ -379,7 +403,8 @@ def _witnesses(p: Partition, which: Iterable[int]) -> Iterator[tuple]:
     """(statistic, left multiset, right multiset, certificate) of each identity
     in ``which``, in its order: each region measured once, phi built once (from
     SQ's stat table when SQ is needed: a strip cell has the same arm and leg in
-    T as in SQ) and psi once, from phi's entries."""
+    T as in SQ) and psi once, from phi's entries.  Each map is certified once,
+    for (arm, leg) pairs, and identity 1 reads the hook view of psi's."""
     specs = [_IDENTITIES[w] for w in which]
     kinds = dict.fromkeys(kind for _, source, targets in specs for kind in (source, *targets))
     stats = {kind: _region_stats(p, kind) for kind in kinds}
@@ -388,12 +413,15 @@ def _witnesses(p: Partition, which: Iterable[int]) -> Iterator[tuple]:
     if "SQ" in stats:
         maps["SQ"] = _psi(p, stats["SQ"], phi)
     del phi  # only identity 3 keeps phi's entries beside psi's
+    certs = {}
     for stat, source, targets in specs:
-        ambient = {kind: (stats[kind], stats[kind]) for kind in targets}
         left = _multiset(stat, [stats[source]])
         right = _multiset(stat, [stats[kind] for kind in targets])
-        cert = build_certificate(maps[source], stats[source], stats[source], ambient, stat)
-        yield stat, left, right, cert
+        if source not in certs:  # identities 1 and 2 both certify psi
+            ambient = {kind: (stats[kind], stats[kind]) for kind in targets}
+            certs[source] = build_certificate(maps[source], stats[source], stats[source], ambient)
+        cert = certs[source]
+        yield stat, left, right, _hook_view(cert) if stat == "hook" else cert
 
 
 def theorem_report(p: Partition, which: int) -> dict:

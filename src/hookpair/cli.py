@@ -4,7 +4,9 @@ Subcommands: ``verify`` checks one identity on one partition, ``sweep`` runs
 exhaustive checks over a whole box (or the Frobenius family), ``show`` draws
 a region, ``dyck`` prints the label word, lattice path, and pairing for one
 cut, and ``map`` dumps a bijection as JSON.  Exit status is 0 when every
-check passes, 1 when a counterexample is found, and 2 on usage errors.
+check passes, 1 when a counterexample is found, 2 on usage errors, and 141
+(128 + SIGPIPE, as a shell reports a process killed by it) when standard
+output is a pipe that its reader has closed.
 
 ``projective``, ``sweep`` and ``render`` are imported by the handlers that use
 them, so ``verify --theorem 1|2|3``, ``dyck`` and ``map`` never load them.
@@ -191,12 +193,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return status
     except CounterexampleFound as exc:
         print(f"counterexample: {exc}", file=sys.stderr)
         if isinstance(exc.case, dict) and "repro" in exc.case:
             print(f"reproduce: {exc.case['repro']}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone (hookpair ... | head): what is left of the output
+        # goes to the null device, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except (HookpairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

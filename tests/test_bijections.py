@@ -4,7 +4,8 @@ import shlex
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hookpair.bijections import (
     CellMap,
@@ -36,13 +37,15 @@ from hookpair.errors import (
     NotAnInteger,
     UnknownChoice,
 )
-from hookpair.sweep import SweepConfig, run_sweep
+from hookpair.sweep import SweepConfig, _case_entries, run_sweep
 
 from util import (
     arm_by_scan,
+    count_calls,
     count_cellsets,
     count_region_builds,
     dyck_reference_calls,
+    hook_certificate_reference,
     leg_by_scan,
     partitions,
     phi_reference_json,
@@ -508,6 +511,123 @@ class TestCertificateFailures:
             build_certificate(phi_map(TWO_CELL), strip, strip, {}, "x")
         assert isinstance(exc.value, UnknownChoice)
         assert str(exc.value) == "stat must be 'al' or 'hook', got 'x'"
+
+
+def hook_certificate(p, cmap):
+    """The hook certificate of a map SQ -> R + D, from the stat tables the
+    witness pass reads."""
+    sq, rect, dgm = (_region_stats(p, kind) for kind in ("SQ", "R", "D"))
+    return build_certificate(cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)}, "hook")
+
+
+def moved_target(p, cmap, pick):
+    """psi's map cmap with the target of its entry number pick moved: one
+    column to the right when that cell is in the same region (another cell's
+    image), else off every region."""
+    entries = list(cmap)
+    e = entries[pick % len(entries)]
+    r, c = e.target
+    region = _region_stats(p, e.target_tag)
+    target = (r, c + 1) if (r, c + 1) in region else (r, c + p.n + 1)
+    entries[pick % len(entries)] = MapEntry(e.source, target, e.target_tag, e.al)
+    return CellMap("SQ", entries)
+
+
+def plant_shifted_stat(monkeypatch, kind):
+    """bijections reads kind's table with its first cell of a positive leg
+    measured (arm + 1, leg - 1): the pair changes and the hook does not.
+    Returns the list of the cells planted so far."""
+    import hookpair.bijections as bj
+
+    original = bj._region_stats
+    planted = []
+
+    def shifted(p, region):
+        table = original(p, region)
+        if region == kind:
+            x = next((x for x, (_, leg) in table.items() if leg > 0), None)
+            if x is not None:
+                arm, leg = table[x]
+                table = {**table, x: (arm + 1, leg - 1)}
+                planted.append(x)
+        return table
+
+    monkeypatch.setattr(bj, "_region_stats", shifted)
+    return planted
+
+
+def failure_positions(report):
+    return [(f["kind"], f.get("from"), f.get("to")) for f in report["certificate"]["failures"]]
+
+
+class TestHookView:
+    """Identity 1's certificate is the hook view of psi's (arm, leg) one."""
+
+    def test_equals_the_reference_exhaustive(self):
+        for p in sweep_partitions(6, 6):
+            cmap = psi_map(p)
+            assert hook_certificate(p, cmap) == hook_certificate_reference(p, cmap), p
+
+    @settings(max_examples=60, deadline=None)
+    @given(partitions(max_k=20, max_n=20))
+    def test_equals_the_reference_sampled(self, p):
+        cmap = psi_map(p)
+        view = hook_certificate(p, cmap)
+        assert view.verdict and view == hook_certificate_reference(p, cmap)
+        assert theorem_report(p, 1)["certificate"] == view.to_json()
+
+    @settings(max_examples=80, deadline=None)
+    @given(partitions(max_k=8, max_n=8), st.integers(0, 10**6))
+    def test_equals_the_reference_on_a_moved_target(self, p, pick):
+        cmap = moved_target(p, psi_map(p), pick)
+        view = hook_certificate(p, cmap)
+        assert not view.verdict
+        assert view == hook_certificate_reference(p, cmap)
+
+    @pytest.mark.parametrize("kind", ["R", "D"])
+    def test_pair_fault_with_equal_hooks_fails_identity_2_only(self, monkeypatch, kind):
+        planted = plant_shifted_stat(monkeypatch, kind)
+        al = theorem_report(FIG, 2)
+        assert planted and al["verdict"] == "fail"
+        mismatches = [f for f in al["certificate"]["failures"] if f["kind"] == "stat-mismatch"]
+        assert [f["to"] for f in mismatches] == [[kind, list(planted[0])]]
+        hooks = theorem_report(FIG, 1)
+        assert hooks["verdict"] == "pass" and hooks["certificate"]["failures"] == []
+
+    @pytest.mark.parametrize("kind", ["R", "D"])
+    def test_pair_fault_with_equal_hooks_in_a_box_sweep(self, monkeypatch, kind):
+        has_leg = {
+            (tuple(p.parts), p.k, p.n): any(leg > 0 for _, leg in _region_stats(p, kind).values())
+            for p in sweep_partitions(3, 3)
+        }
+        plant_shifted_stat(monkeypatch, kind)
+        report = run_sweep(SweepConfig(max_k=3, max_n=3, theorems=("1", "2")))
+        verdicts = {(tuple(e["alpha"]), e["k"], e["n"], e["theorem"]): e["verdict"]
+                    for e in report.cases}
+        assert any(has_leg.values()) and not all(has_leg.values())
+        for case, planted in has_leg.items():
+            assert verdicts[(*case, "1")] == "pass", case
+            assert verdicts[(*case, "2")] == ("fail" if planted else "pass"), case
+
+    @pytest.mark.parametrize("pick", [0, 7, 20, 38])
+    def test_moved_target_fails_both_identities_alike(self, monkeypatch, pick):
+        import hookpair.bijections as bj
+
+        good = bj._psi
+        monkeypatch.setattr(bj, "_psi", lambda p, sq, phi: moved_target(p, good(p, sq, phi), pick))
+        hooks, al = theorem_report(FIG, 1), theorem_report(FIG, 2)
+        assert hooks["verdict"] == al["verdict"] == "fail"
+        assert failure_positions(hooks) == failure_positions(al) != []
+
+    def test_psi_certified_once_per_partition(self, monkeypatch):
+        import hookpair.bijections as bj
+
+        case = ("box", ("1", "2"), FIG.parts, FIG.k, FIG.n)
+        calls = count_calls(monkeypatch, bj, "build_certificate", lambda: _case_entries(case))
+        assert len(calls) == 1 and calls[0][0].source_tag == "SQ"
+        # identity 1 alone is certified for (arm, leg) pairs too: no stat argument
+        calls = count_calls(monkeypatch, bj, "build_certificate", lambda: theorem_report(FIG, 1))
+        assert [len(args) for args in calls] == [4]
 
 
 class TestTheorems:

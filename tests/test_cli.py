@@ -529,3 +529,37 @@ class TestParser:
         assert proc.returncode == 0
         assert proc.stdout == "□\n"
         assert proc.stderr == ""
+
+
+# each prints more than nothing; verify's 20-part report (189 KB) fills a
+# pipe, the others fit in the output buffer until the flush at exit
+CLOSED_PIPE_COMMANDS = [
+    ["verify", "--k", "20", "--n", "20", "--alpha", "20,18,15,12,9,5,3,1", "--theorem", "2"],
+    ["map", "--psi", "--k", "2", "--n", "2", "--alpha", "2,1"],
+    ["dyck", "--k", "2", "--n", "2", "--alpha", "2,1", "--i", "1"],
+]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", CLOSED_PIPE_COMMANDS, ids=lambda argv: argv[0])
+def test_closed_output_pipe_exits_141_quietly(argv, unbuffered):
+    # hookpair ... | head: the reader is gone before the first write, which is
+    # neither a usage error (2) nor a traceback at the flush at exit (120)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(hookpair.__file__).resolve().parent.parent),
+                      env.get("PYTHONPATH")])
+    )
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hookpair.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -204,6 +204,12 @@ def test_lazy_subcommand_loads_its_layers_only(argv, extra):
     assert _submodules_after(code) == sorted(CLI_BASE + extra)
 
 
+def test_lazy_from_import_cli():
+    # the import system asks the package for cli before it imports the
+    # submodule; that lookup must not search, and so load, every module
+    assert _submodules_after("from hookpair import cli") == CLI_BASE
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from hookpair import *", namespace)

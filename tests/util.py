@@ -98,6 +98,19 @@ def count_region_builds(monkeypatch, run, function="build_region"):
     return sorted(calls)
 
 
+def hook_certificate_reference(p, cmap):
+    """A hook certificate of a map SQ -> R + D measured directly: the
+    certificate's (arm, leg) checking loop run over tables of hooks, each
+    read off a built CellSet as (arm + leg + 1,)."""
+    from hookpair.bijections import build_certificate
+
+    sq, rect, dgm = (
+        {x: (g.arm(x) + g.leg(x) + 1,) for x in g}
+        for g in (build_region(p, kind) for kind in ("SQ", "R", "D"))
+    )
+    return build_certificate(cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)}, "al")
+
+
 def count_cellsets(monkeypatch, run):
     """Number of CellSets constructed while run() runs."""
     made = []

@@ -263,10 +263,23 @@ MUTANTS = (
         "the hook multisets of the oracle count arm + leg, not arm + leg + 1",
     ),
     Mutant(
-        "hook-measured-without-one", BIJECTIONS,
-        "{x: (arm + leg + 1,) for x",
-        "{x: (arm + leg,) for x",
+        "hook-view-without-one", BIJECTIONS,
+        "(a + l + 1,), (b + m + 1,)",
+        "(a + l,), (b + m,)",
         "the hooks a certificate records are arm + leg, not arm + leg + 1",
+    ),
+    Mutant(
+        "hook-view-keeps-equal-hooks", BIJECTIONS,
+        "            if a + l == b + m:\n"
+        "                continue\n",
+        "",
+        "identity 1 fails on a stat-mismatch of (arm, leg) pairs whose hooks agree",
+    ),
+    Mutant(
+        "hook-view-copies-verdict", BIJECTIONS,
+        "BijectionCertificate(records, not failures, tuple(failures))",
+        "BijectionCertificate(records, cert.verdict, tuple(failures))",
+        "identity 1's certificate takes the (arm, leg) verdict, not the one of its own failures",
     ),
     Mutant(
         "coverage-pooled", BIJECTIONS,
@@ -408,6 +421,12 @@ MUTANTS = (
         "\"dyck\", \"bijections\", \"projective\"",
         "\"dyck\", \"projective\", \"bijections\"",
         "looking up a bijections name loads projective too",
+    ),
+    Mutant(
+        "package-cli-searched", PACKAGE_INIT,
+        "if name in _MODULES or name == \"cli\":",
+        "if name in _MODULES:",
+        "from hookpair import cli searches every module's names first, loading them all",
     ),
     Mutant(
         "package-unknown-is-none", PACKAGE_INIT,
