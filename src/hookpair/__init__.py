@@ -2,20 +2,102 @@
 statistic-preserving bijections and exhaustive identity checks.
 
 The submodules load on first use (PEP 562): ``import hookpair`` loads none of
-them, and ``hookpair.X`` loads the modules of ``_MODULES`` in turn up to the
-one whose ``__all__`` lists ``X``; a submodule name, ``cli`` included, loads
-that module alone with its own imports."""
+them, ``hookpair.X`` loads the one module whose row of ``_EXPORTS`` lists
+``X``, with that module's own imports, and a submodule name, ``cli``
+included, loads that module alone with its own imports.  A name no row lists
+raises AttributeError without loading anything."""
 
 __version__ = "0.1.0"
 
-# dependency order, so the search loads no module that the owner of a name
-# does not load itself; no other module imports render, so it comes last
-_MODULES = ("errors", "diagrams", "dyck", "bijections", "projective", "sweep", "render")
+# {module: its public names}, the one list of them: each module's __all__ is
+# its row, and hookpair.__all__ is the rows in this order
+_EXPORTS = {
+    "errors": (
+        "HookpairError",
+        "NotWeaklyDecreasing",
+        "PartExceedsN",
+        "WrongLength",
+        "WrongN",
+        "NotAnInteger",
+        "EmptyField",
+        "EmptySet",
+        "NotASubset",
+        "NotRising",
+        "IndexOutOfRange",
+        "NotADyckPath",
+        "NoMatchingDownStep",
+        "KindWithoutDiagonal",
+        "NoShiftRow",
+        "UnknownChoice",
+        "NotContiguous",
+        "CellNotInSet",
+        "CellNotInT",
+        "DuplicateSource",
+        "NotInFamily",
+        "CounterexampleFound",
+    ),
+    "diagrams": (
+        "REGION_KINDS",
+        "Partition",
+        "CellSet",
+        "conjugate",
+        "build_region",
+        "al_multiset",
+        "hook_multiset",
+        "arm_slice",
+        "arm_prefix",
+        "first_multiset_difference",
+    ),
+    "dyck": (
+        "Label",
+        "SigmaSequence",
+        "DyckPath",
+        "label_cells",
+        "build_sigma",
+        "build_dyck",
+        "pair_updown",
+        "pairing_tuple",
+    ),
+    "bijections": (
+        "MapEntry",
+        "CellMap",
+        "CertRecord",
+        "BijectionCertificate",
+        "rot_T",
+        "phi_map",
+        "zeta_map",
+        "psi_map",
+        "build_certificate",
+        "theorem_report",
+        "verify_theorem",
+    ),
+    "projective": (
+        "StrictPartition",
+        "ClassBPartition",
+        "DiagonalSpec",
+        "MDecomposition",
+        "alpha_from_strict",
+        "is_class_B",
+        "diagonal_spec",
+        "split_pq",
+        "shift_Ti",
+        "check_prop_techprop",
+        "m_decomposition",
+        "projective_report",
+        "verify_projective",
+    ),
+    "sweep": (
+        "SweepConfig",
+        "SweepReport",
+        "enumerate_partitions",
+        "enumerate_class_B",
+        "run_sweep",
+    ),
+    "render": ("render_ascii",),
+}
 
-# {public name: the module that owns it}.  The object is read from its module
-# at every access, so a name rebound there (a test double, a timing wrapper)
-# shows through the package too.
-_owners = {}
+# {public name: the module whose row lists it}, read off the table
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def _module(name: str):
@@ -26,22 +108,16 @@ def _module(name: str):
 
 
 def __getattr__(name: str):
-    # from hookpair import cli asks for the attribute before it imports the
-    # submodule, so cli is loaded directly too rather than searched for
-    if name in _MODULES or name == "cli":
+    if name in _EXPORTS or name == "cli":
         return _module(name)
     if name == "__all__":
-        return ["__version__", *(n for m in _MODULES for n in _module(m).__all__)]
-    if name not in _owners:
-        for m in _MODULES:
-            module = _module(m)
-            if name in module.__all__:
-                _owners[name] = module
-                break
-        else:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_owners[name], name)
+        return ["__version__", *_OWNER]
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # read from the module at every access, so a name rebound there (a test
+    # double, a timing wrapper) shows through the package too
+    return getattr(_module(_OWNER[name]), name)
 
 
 def __dir__():
-    return sorted({*globals(), *__getattr__("__all__")})
+    return sorted({*globals(), *_EXPORTS, *_OWNER})

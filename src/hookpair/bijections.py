@@ -19,11 +19,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from . import _EXPORTS
 from .diagrams import (
     Cell,
     CellSet,
     Partition,
     StatTable,
+    _IDENTITIES,
     _case,
     _counterexample,
     _region_rows,
@@ -42,19 +44,7 @@ from .errors import (
     UnknownChoice,
 )
 
-__all__ = [
-    "MapEntry",
-    "CellMap",
-    "CertRecord",
-    "BijectionCertificate",
-    "rot_T",
-    "phi_map",
-    "zeta_map",
-    "psi_map",
-    "build_certificate",
-    "theorem_report",
-    "verify_theorem",
-]
+__all__ = _EXPORTS["bijections"]
 
 
 class MapEntry(NamedTuple):
@@ -276,8 +266,9 @@ def _hook_view(cert: BijectionCertificate) -> BijectionCertificate:
     and the others carry hooks; every other failure is the same for both
     statistics.  Failures keep their order, and the verdict is recomputed.
     """
+    # tuple.__new__ skips the named tuple's Python-level __new__
     records = tuple(
-        CertRecord(source, target, tag, (a + l + 1,), (b + m + 1,))
+        tuple.__new__(CertRecord, (source, target, tag, (a + l + 1,), (b + m + 1,)))
         for source, target, tag, (a, l), (b, m) in cert.records
     )
     failures = []
@@ -389,14 +380,6 @@ def build_certificate(
             )
 
     return BijectionCertificate(tuple(records), not failures, tuple(failures))
-
-
-# each identity: its statistic, its source region and its target regions
-_IDENTITIES = {
-    1: ("hook", "SQ", ("R", "D")),
-    2: ("al", "SQ", ("R", "D")),
-    3: ("al", "T", ("Tstar",)),
-}
 
 
 def _witnesses(p: Partition, which: Iterable[int]) -> Iterator[tuple]:

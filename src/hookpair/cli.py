@@ -8,8 +8,11 @@ check passes, 1 when a counterexample is found, 2 on usage errors, and 141
 (128 + SIGPIPE, as a shell reports a process killed by it) when standard
 output is a pipe that its reader has closed.
 
-``projective``, ``sweep`` and ``render`` are imported by the handlers that use
-them, so ``verify --theorem 1|2|3``, ``dyck`` and ``map`` never load them.
+The module itself loads only ``errors`` and ``diagrams``.  Each handler
+imports the layers it uses: ``verify --theorem 1|2|3`` and ``map`` load
+``bijections`` (with ``dyck``), ``dyck`` loads ``dyck``, ``verify --theorem
+proj`` loads ``projective``, ``show`` loads ``render`` (and ``projective``
+with ``--pq``), and ``sweep`` loads ``sweep`` with the checker of its mode.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ import json
 import os
 import sys
 
-from .bijections import _IDENTITIES, phi_map, psi_map, verify_theorem
-from .diagrams import Partition, _decimal, _require_int, build_region
-from .dyck import build_dyck, build_sigma, pair_updown
+from .diagrams import Partition, _IDENTITIES, _decimal, _require_int, build_region
 from .errors import CounterexampleFound, HookpairError, NotAnInteger, NotInFamily
 
 SHOW_KINDS = ("D", "R", "T", "V", "SQ", "Tstar")
@@ -60,6 +61,8 @@ def _cmd_verify(args) -> int:
             raise NotInFamily(f"alpha={p} is not in the n=k+1 Frobenius family")
         report = verify_projective(b)
     else:
+        from .bijections import verify_theorem
+
         report = verify_theorem(p, _decimal(args.theorem))
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -116,6 +119,8 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_dyck(args) -> int:
+    from .dyck import build_dyck, build_sigma, pair_updown
+
     p = _partition(args)
     s = build_sigma(p, args.i)
     d = build_dyck(s)
@@ -128,6 +133,8 @@ def _cmd_dyck(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    from .bijections import phi_map, psi_map
+
     p = _partition(args)
     cmap = phi_map(p) if args.phi else psi_map(p)
     print(json.dumps(cmap.to_json(), indent=2, sort_keys=True))

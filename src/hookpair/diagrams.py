@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from typing import Iterable, Iterator, Mapping
 
+from . import _EXPORTS
 from .errors import (
     CellNotInSet,
     CounterexampleFound,
@@ -30,18 +31,7 @@ from .errors import (
     WrongLength,
 )
 
-__all__ = [
-    "REGION_KINDS",
-    "Partition",
-    "CellSet",
-    "conjugate",
-    "build_region",
-    "al_multiset",
-    "hook_multiset",
-    "arm_slice",
-    "arm_prefix",
-    "first_multiset_difference",
-]
+__all__ = _EXPORTS["diagrams"]
 
 Cell = tuple[int, int]
 
@@ -53,6 +43,13 @@ StatTable = dict[Cell, tuple[int, int]]
 RunMap = dict[tuple[int, int], int]
 
 REGION_KINDS = ("D", "R", "T", "V", "SQ", "Tstar", "R1", "R2", "T1star", "T2star")
+
+# each identity: its statistic, its source region and its target regions
+_IDENTITIES = {
+    1: ("hook", "SQ", ("R", "D")),
+    2: ("al", "SQ", ("R", "D")),
+    3: ("al", "T", ("Tstar",)),
+}
 
 
 class _Checked:

@@ -14,19 +14,11 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
+from . import _EXPORTS
 from .diagrams import Cell, Partition, _region_rows, _require_cut, _require_int
 from .errors import IndexOutOfRange, NoMatchingDownStep, NotADyckPath
 
-__all__ = [
-    "Label",
-    "SigmaSequence",
-    "DyckPath",
-    "label_cells",
-    "build_sigma",
-    "build_dyck",
-    "pair_updown",
-    "pairing_tuple",
-]
+__all__ = _EXPORTS["dyck"]
 
 
 class Label(NamedTuple):

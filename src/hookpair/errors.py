@@ -1,29 +1,8 @@
 """Exception types named after the invariant they report."""
 
-__all__ = [
-    "HookpairError",
-    "NotWeaklyDecreasing",
-    "PartExceedsN",
-    "WrongLength",
-    "WrongN",
-    "NotAnInteger",
-    "EmptyField",
-    "EmptySet",
-    "NotASubset",
-    "NotRising",
-    "IndexOutOfRange",
-    "NotADyckPath",
-    "NoMatchingDownStep",
-    "KindWithoutDiagonal",
-    "NoShiftRow",
-    "UnknownChoice",
-    "NotContiguous",
-    "CellNotInSet",
-    "CellNotInT",
-    "DuplicateSource",
-    "NotInFamily",
-    "CounterexampleFound",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
 
 
 class HookpairError(Exception):

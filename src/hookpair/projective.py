@@ -22,6 +22,7 @@ from bisect import bisect_right
 from collections import Counter, namedtuple
 from typing import Iterable, NamedTuple
 
+from . import _EXPORTS
 from .diagrams import (
     Cell,
     CellSet,
@@ -47,21 +48,7 @@ from .errors import (
     WrongN,
 )
 
-__all__ = [
-    "StrictPartition",
-    "ClassBPartition",
-    "DiagonalSpec",
-    "MDecomposition",
-    "alpha_from_strict",
-    "is_class_B",
-    "diagonal_spec",
-    "split_pq",
-    "shift_Ti",
-    "check_prop_techprop",
-    "m_decomposition",
-    "projective_report",
-    "verify_projective",
-]
+__all__ = _EXPORTS["projective"]
 
 
 class StrictPartition(_Checked, namedtuple("StrictPartition", "parts k")):

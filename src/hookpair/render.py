@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from . import _EXPORTS
 from .diagrams import Cell, CellSet
 from .errors import EmptySet
 
-__all__ = ["render_ascii"]
+__all__ = _EXPORTS["render"]
 
 FILLED = "■"
 HOLLOW = "□"

@@ -7,6 +7,11 @@ Cases are independent, so the sweep can fan out over worker processes; the
 report content never depends on the worker count, and serialized reports,
 streamed to their file, are byte-identical across runs with the same
 configuration.
+
+The module itself loads only ``errors`` and ``diagrams``.  Each case imports
+its own checker, ``bijections`` for a box case and ``projective`` for a
+family member, so a box sweep never loads ``projective`` and a projective
+sweep never loads ``bijections`` or ``dyck``.
 """
 
 from __future__ import annotations
@@ -17,20 +22,16 @@ import os
 import time
 from collections import namedtuple
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .bijections import _IDENTITIES, _witnesses
-from .diagrams import Partition, _Checked, _case, _decimal, _repro, _require_int
+from . import _EXPORTS
+from .diagrams import Partition, _Checked, _IDENTITIES, _case, _decimal, _repro, _require_int
 from .errors import UnknownChoice
-from .projective import ClassBPartition, StrictPartition, alpha_from_strict, projective_report
 
-__all__ = [
-    "SweepConfig",
-    "SweepReport",
-    "enumerate_partitions",
-    "enumerate_class_B",
-    "run_sweep",
-]
+if TYPE_CHECKING:
+    from .projective import ClassBPartition
+
+__all__ = _EXPORTS["sweep"]
 
 THEOREM_NAMES = (*map(str, _IDENTITIES), "projective")
 
@@ -69,6 +70,8 @@ def _strict_parts(k: int) -> Iterator[tuple[int, ...]]:
 def enumerate_class_B(k: int) -> Iterator[ClassBPartition]:
     """All 2**k members of the Frobenius family with bound k, one for each
     strict partition in ``_strict_parts`` order."""
+    from .projective import StrictPartition, alpha_from_strict
+
     for parts in _strict_parts(k):
         yield alpha_from_strict(StrictPartition(parts, k))
 
@@ -114,13 +117,19 @@ def _enumerate_cases(cfg: SweepConfig) -> Iterator[tuple]:
 
 def _case_entries(case: tuple) -> list[dict]:
     """Check a partition for its identities, or a family member, and return the entries."""
+    # each checker is read from its module at every case and kept in no
+    # global here, so a double or a timing wrapper installed there is seen
     if case[0] == "box":
+        from .bijections import _witnesses
+
         _, theorems, parts, k, n = case
         p = Partition(parts, k, n)
         entries = [_case(p, t) for t in theorems]
         witnesses = _witnesses(p, [_decimal(t) for t in theorems])
         oks = [left == right and cert.verdict for _, left, right, cert in witnesses]
     else:
+        from .projective import StrictPartition, alpha_from_strict, projective_report
+
         _, lam_parts, k = case
         b = alpha_from_strict(StrictPartition(lam_parts, k))
         entries = [_case(b.alpha, "projective", {"lambda": list(lam_parts)})]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hookpair.bijections import (
     CellMap,
+    CertRecord,
     MapEntry,
     build_certificate,
     phi_map,
@@ -618,6 +619,23 @@ class TestHookView:
         hooks, al = theorem_report(FIG, 1), theorem_report(FIG, 2)
         assert hooks["verdict"] == al["verdict"] == "fail"
         assert failure_positions(hooks) == failure_positions(al) != []
+
+    def test_view_records_are_cert_records(self):
+        cmap = psi_map(FIG)
+        sq, rect, dgm = (_region_stats(FIG, kind) for kind in ("SQ", "R", "D"))
+        al = build_certificate(cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)})
+        view = hook_certificate(FIG, cmap)
+        assert len(view.records) == len(al.records) == len(cmap) > 0
+        for rec, pair in zip(view.records, al.records):
+            assert type(rec) is CertRecord
+            (a, l), (b, m) = pair.source_stat, pair.target_stat
+            assert rec._asdict() == {
+                "source": pair.source,
+                "target": pair.target,
+                "target_tag": pair.target_tag,
+                "source_stat": (a + l + 1,),
+                "target_stat": (b + m + 1,),
+            }
 
     def test_psi_certified_once_per_partition(self, monkeypatch):
         import hookpair.bijections as bj

@@ -202,7 +202,7 @@ class TestVerify:
         def broken(p, which):
             raise CounterexampleFound("planted failure", case={}, detail=None)
 
-        monkeypatch.setattr(cli, "verify_theorem", broken)
+        monkeypatch.setattr(bj, "verify_theorem", broken)
         code, _, err = run_cli(
             "verify", "--k", "1", "--n", "1", "--alpha", "1",
             "--theorem", "1", capsys=capsys,

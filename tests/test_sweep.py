@@ -11,6 +11,7 @@ import pytest
 
 import hookpair.bijections as bj
 import hookpair.cli as cli
+import hookpair.projective as pj
 import hookpair.sweep as sweep_mod
 from hookpair.bijections import theorem_report
 from hookpair.diagrams import Partition
@@ -83,7 +84,7 @@ class TestEnumerateFamily:
         def no_build(lam):
             raise AssertionError(f"built member {lam} while enumerating")
 
-        monkeypatch.setattr(sweep_mod, "alpha_from_strict", no_build)
+        monkeypatch.setattr(pj, "alpha_from_strict", no_build)
         cases = list(sweep_mod._enumerate_cases(SweepConfig(max_k=3, max_n=None,
                                                             theorems=("projective",))))
         assert cases[:3] == [("projective", (), 1), ("projective", (1,), 1),
@@ -242,8 +243,8 @@ FAILING_FAMILY = {((1,), 1), ((2, 1), 2)}
 
 @pytest.fixture
 def planted_failures(monkeypatch):
-    real_witnesses = sweep_mod._witnesses
-    real_projective = sweep_mod.projective_report
+    real_witnesses = bj._witnesses
+    real_projective = pj.projective_report
 
     def witnesses(p, which):
         which = list(which)
@@ -258,8 +259,8 @@ def planted_failures(monkeypatch):
             report = dict(report, theorem="fail")
         return report
 
-    monkeypatch.setattr(sweep_mod, "_witnesses", witnesses)
-    monkeypatch.setattr(sweep_mod, "projective_report", projective_report)
+    monkeypatch.setattr(bj, "_witnesses", witnesses)
+    monkeypatch.setattr(pj, "projective_report", projective_report)
 
 
 class TestFailingSweep:

@@ -155,18 +155,33 @@ def _submodules_after(code: str) -> list[str]:
     return sorted(m for m in _modules_after(code) if m.startswith("hookpair."))
 
 
-# a public name loads the modules up to its owner, in dependency order, and
-# a submodule attribute loads that module and its own imports
+# a public name loads its owner and the owner's own imports, a submodule
+# attribute loads that module and its own imports, and a sweep loads the
+# checker of its mode only when it runs
 LAZY_NAMES = {
     "import hookpair": [],
+    "import hookpair; assert not hasattr(hookpair, 'no_such_name')": [],
     "import hookpair; hookpair.Partition((2, 1), 2, 2)": [
         "hookpair.diagrams", "hookpair.errors",
+    ],
+    "import hookpair; hookpair.SweepConfig(2, None, ('projective',))": [
+        "hookpair.diagrams", "hookpair.errors", "hookpair.sweep",
+    ],
+    "import hookpair; hookpair.run_sweep(hookpair.SweepConfig(2, None, ('projective',)))": [
+        "hookpair.diagrams", "hookpair.errors", "hookpair.projective", "hookpair.sweep",
+    ],
+    "import hookpair; hookpair.run_sweep(hookpair.SweepConfig(1, 1, ('2',)))": [
+        "hookpair.bijections", "hookpair.diagrams", "hookpair.dyck", "hookpair.errors",
+        "hookpair.sweep",
     ],
     "import hookpair; hookpair.verify_theorem(hookpair.Partition((2, 1), 2, 2), 2)": [
         "hookpair.bijections", "hookpair.diagrams", "hookpair.dyck", "hookpair.errors",
     ],
     "import hookpair; hookpair.projective.StrictPartition": [
         "hookpair.diagrams", "hookpair.errors", "hookpair.projective",
+    ],
+    "import hookpair; hookpair.cli.build_parser": [
+        "hookpair.cli", "hookpair.diagrams", "hookpair.errors",
     ],
 }
 
@@ -176,19 +191,20 @@ def test_lazy_package_loads_the_owners_only(code):
     assert _submodules_after(code) == LAZY_NAMES[code]
 
 
-CLI_BASE = ["hookpair.bijections", "hookpair.cli", "hookpair.diagrams", "hookpair.dyck",
-            "hookpair.errors"]
+CLI_BASE = ["hookpair.cli", "hookpair.diagrams", "hookpair.errors"]
 CASE = ["--k", "1", "--n", "2", "--alpha", "2"]
 
 # each subcommand loads the layers its handler uses and no others
 LAZY_SUBCOMMANDS = [
-    (["verify", "--theorem", "2", *CASE], []),
+    (["verify", "--theorem", "2", *CASE], ["hookpair.bijections", "hookpair.dyck"]),
     (["verify", "--theorem", "proj", *CASE], ["hookpair.projective"]),
     (["show", "--region", "D", *CASE], ["hookpair.render"]),
     (["show", "--region", "D", "--pq", *CASE], ["hookpair.projective", "hookpair.render"]),
-    (["dyck", "--i", "1", *CASE], []),
-    (["map", "--phi", *CASE], []),
-    (["sweep", "--max-k", "1", "--max-n", "1"], ["hookpair.projective", "hookpair.sweep"]),
+    (["dyck", "--i", "1", *CASE], ["hookpair.dyck"]),
+    (["map", "--phi", *CASE], ["hookpair.bijections", "hookpair.dyck"]),
+    (["sweep", "--max-k", "1", "--max-n", "1"],
+     ["hookpair.bijections", "hookpair.dyck", "hookpair.sweep"]),
+    (["sweep", "--projective", "--max-k", "1"], ["hookpair.projective", "hookpair.sweep"]),
 ]
 
 
@@ -206,7 +222,7 @@ def test_lazy_subcommand_loads_its_layers_only(argv, extra):
 
 def test_lazy_from_import_cli():
     # the import system asks the package for cli before it imports the
-    # submodule; that lookup must not search, and so load, every module
+    # submodule; that lookup loads cli alone, with its own imports
     assert _submodules_after("from hookpair import cli") == CLI_BASE
 
 
@@ -296,16 +312,18 @@ def test_package_exports_every_public_name():
 
 
 def test_package_namespace_is_the_module_lists():
-    # each module's __all__ is the only list of its public names
-    modules = [
-        importlib.import_module(f"hookpair.{path.stem}")
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem not in ("__init__", "cli")
-    ]
-    assert sorted(m.__name__ for m in modules if not hasattr(m, "__all__")) == []
-    assert len(hookpair.__all__) == len(set(hookpair.__all__))
-    listed = {name for m in modules for name in m.__all__}
-    assert set(hookpair.__all__) == {"__version__"} | listed
+    # the package's export table is the only list of public names: each
+    # module's __all__ is its row, the very object, and hookpair.__all__ is
+    # __version__ and the rows in dependency order
+    order = ["errors", "diagrams", "dyck", "bijections", "projective", "sweep", "render"]
+    assert sorted(order) == sorted(path.stem for path in PACKAGE.glob("*.py")
+                                   if path.stem not in ("__init__", "cli"))
+    assert list(hookpair._EXPORTS) == order
+    rows = [importlib.import_module(f"hookpair.{m}").__all__ for m in order]
+    assert [m for m, row in zip(order, rows) if row is not hookpair._EXPORTS[m]] == []
+    assert not hasattr(importlib.import_module("hookpair.cli"), "__all__")
+    assert hookpair.__all__ == ["__version__", *(n for row in rows for n in row)]
+    assert len(hookpair.__all__) == len(set(hookpair.__all__)) == 71
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))

@@ -39,6 +39,7 @@ BIJECTIONS = "src/hookpair/bijections.py"
 SWEEP = "src/hookpair/sweep.py"
 DYCK = "src/hookpair/dyck.py"
 PACKAGE_INIT = "src/hookpair/__init__.py"
+CLI = "src/hookpair/cli.py"
 
 
 @dataclass(frozen=True)
@@ -288,13 +289,13 @@ MUTANTS = (
         "a certificate counts an image cell as covered under any tag",
     ),
     Mutant(
-        "identity-1-reads-al", BIJECTIONS,
+        "identity-1-reads-al", DIAGRAMS,
         "1: (\"hook\", \"SQ\", (\"R\", \"D\")),",
         "1: (\"al\", \"SQ\", (\"R\", \"D\")),",
         "identity 1 compares (arm, leg) pairs instead of hooks",
     ),
     Mutant(
-        "identity-3-from-sq", BIJECTIONS,
+        "identity-3-from-sq", DIAGRAMS,
         "3: (\"al\", \"T\", (\"Tstar\",)),",
         "3: (\"al\", \"SQ\", (\"Tstar\",)),",
         "identity 3 measures SQ and certifies psi against T*",
@@ -402,37 +403,59 @@ MUTANTS = (
         "True and False pass the integer check as 1 and 0",
     ),
     Mutant(
-        "package-records-objects", PACKAGE_INIT,
-        "                _owners[name] = module\n"
-        "                break\n"
-        "        else:\n"
-        "            raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")\n"
-        "    return getattr(_owners[name], name)\n",
-        "                _owners[name] = getattr(module, name)\n"
-        "                break\n"
-        "        else:\n"
-        "            raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")\n"
-        "    return _owners[name]\n",
+        "package-name-under-wrong-module", PACKAGE_INIT,
+        "        \"run_sweep\",\n"
+        "    ),\n"
+        "    \"render\": (\"render_ascii\",),\n",
+        "    ),\n"
+        "    \"render\": (\"render_ascii\", \"run_sweep\"),\n",
+        "the table lists a name under a module that does not define it",
+    ),
+    Mutant(
+        "package-caches-objects", PACKAGE_INIT,
+        "    return getattr(_module(_OWNER[name]), name)\n",
+        "    value = globals()[name] = getattr(_module(_OWNER[name]), name)\n"
+        "    return value\n",
         "the package keeps the first object it read, so a name rebound in its module "
         "(a timing wrapper) does not show",
     ),
     Mutant(
-        "package-projective-first", PACKAGE_INIT,
-        "\"dyck\", \"bijections\", \"projective\"",
-        "\"dyck\", \"projective\", \"bijections\"",
-        "looking up a bijections name loads projective too",
-    ),
-    Mutant(
-        "package-cli-searched", PACKAGE_INIT,
-        "if name in _MODULES or name == \"cli\":",
-        "if name in _MODULES:",
-        "from hookpair import cli searches every module's names first, loading them all",
+        "package-unknown-searches", PACKAGE_INIT,
+        "    if name not in _OWNER:\n",
+        "    if name not in _OWNER:\n"
+        "        for m in _EXPORTS:\n"
+        "            _module(m)\n",
+        "a name no row lists loads every module before it fails",
     ),
     Mutant(
         "package-unknown-is-none", PACKAGE_INIT,
-        "            raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")\n",
-        "            return None\n",
+        "        raise AttributeError(f\"module {__name__!r} has no attribute {name!r}\")\n",
+        "        return None\n",
         "a misspelt name reads as None instead of failing",
+    ),
+    Mutant(
+        "package-cli-unknown", PACKAGE_INIT,
+        "if name in _EXPORTS or name == \"cli\":",
+        "if name in _EXPORTS:",
+        "hookpair.cli fails unless hookpair.cli was imported first",
+    ),
+    Mutant(
+        "sweep-loads-projective", SWEEP,
+        "from .errors import UnknownChoice\n",
+        "from .errors import UnknownChoice\nfrom .projective import projective_report\n",
+        "SweepConfig and every box sweep load projective",
+    ),
+    Mutant(
+        "sweep-loads-bijections", SWEEP,
+        "from . import _EXPORTS\n",
+        "from . import _EXPORTS\nfrom .bijections import _witnesses\n",
+        "SweepConfig and every projective sweep load bijections and dyck",
+    ),
+    Mutant(
+        "cli-loads-bijections", CLI,
+        "from .errors import CounterexampleFound",
+        "from .bijections import verify_theorem\nfrom .errors import CounterexampleFound",
+        "every subcommand loads bijections and dyck",
     ),
 )
 
