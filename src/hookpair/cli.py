@@ -119,15 +119,14 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_dyck(args) -> int:
-    from .dyck import build_dyck, build_sigma, pair_updown
+    from .dyck import build_dyck, build_sigma, pair_updown, pairing_tuple
 
     p = _partition(args)
     s = build_sigma(p, args.i)
     d = build_dyck(s)
-    pairing = pair_updown(d)
+    values = ", ".join(map(str, pairing_tuple(pair_updown(d))))
     print(f"sigma_{args.i}: {s}")
     print(d.render_text())
-    values = ", ".join(str(pairing[j]) for j in sorted(pairing))
     print(f"P_{args.i}: ({values})")
     return 0
 
@@ -201,7 +200,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         status = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
         return status
     except CounterexampleFound as exc:
         print(f"counterexample: {exc}", file=sys.stderr)

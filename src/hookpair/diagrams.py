@@ -186,9 +186,9 @@ class CellSet:
         for r, c in sorted(frozen):
             rows.setdefault(r, []).append(c)
             cols.setdefault(c, []).append(r)
-        object.__setattr__(self, "_cells", frozen)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_cols", cols)
+        self._cells = frozen
+        self._rows = rows
+        self._cols = cols
 
     @classmethod
     def from_row_intervals(cls, intervals: Mapping[int, tuple[int, int]]) -> "CellSet":
@@ -240,10 +240,6 @@ class CellSet:
         for value, what in zip(cell, ("row", "column")):  # True and 1.0 hash like 1
             _require_int(value, what)
 
-    def _require_nonempty(self) -> None:
-        if not self._cells:
-            raise EmptySet("operation needs a non-empty cell set")
-
     def arm(self, cell: Cell) -> int:
         """Number of cells strictly to the right of ``cell`` in its row."""
         self._require(cell)
@@ -274,8 +270,10 @@ class CellSet:
         return True
 
     def bounds(self) -> tuple[int, int, int, int]:
-        """(min_row, max_row, min_col, max_col) of the occupied cells."""
-        self._require_nonempty()
+        """(min_row, max_row, min_col, max_col) of the occupied cells; EmptySet
+        when there are none."""
+        if not self._cells:
+            raise EmptySet("operation needs a non-empty cell set")
         rs = [r for r, _ in self._cells]
         cs = [c for _, c in self._cells]
         return min(rs), max(rs), min(cs), max(cs)
@@ -285,19 +283,16 @@ class CellSet:
 
     def normalize(self) -> "CellSet":
         """Translate so the minimum occupied row and column are both 1."""
-        self._require_nonempty()
         rmin, _, cmin, _ = self.bounds()
         return self.translate(1 - rmin, 1 - cmin)
 
     def rotate180(self) -> "CellSet":
         """Rotate half a turn inside the bounding box, then normalize."""
-        self._require_nonempty()
         _, rmax, _, cmax = self.bounds()
         return CellSet((rmax + 1 - r, cmax + 1 - c) for r, c in self._cells)
 
     def reflect_vertical(self) -> "CellSet":
         """Mirror left-to-right inside the bounding box, then normalize."""
-        self._require_nonempty()
         rmin, _, _, cmax = self.bounds()
         return CellSet((r - rmin + 1, cmax + 1 - c) for r, c in self._cells)
 
@@ -430,20 +425,20 @@ def _leg_runs(
         below += lo <= hi
 
 
-def _rising_stats(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> StatTable:
-    """{(r, c): (arm, leg)} of the cells of ``part``, in row-major order,
-    measured in the rising shape ``rows``: the ``_leg_runs`` of ``part``
-    cell by cell, with arm hi - c.
+def _rising_stats(rows: list[tuple[int, int]]) -> StatTable:
+    """{(r, c): (arm, leg)} of the cells of the rising shape ``rows``, in
+    row-major order: its ``_leg_runs`` cell by cell, with arm hi - c.
     """
     return {
         (r, c): (hi - c, leg)
-        for r, hi, leg, c0, c1 in _leg_runs(rows, part)
+        for r, hi, leg, c0, c1 in _leg_runs(rows, rows)
         for c in range(c0, c1 + 1)
     }
 
 
 def _rising_runs(rows: list[tuple[int, int]], part: list[tuple[int, int]]) -> RunMap:
-    """The (arm, leg) multiset of ``_rising_stats(rows, part)`` as a run map.
+    """The (arm, leg) multiset of the cells of ``part``, measured in the
+    rising shape ``rows``, as a run map.
 
     A ``_leg_runs`` run of leg L over arms a0..a1 is recorded as +1 at
     (L, a0) and -1 at (L, a1 + 1).  Two sums of such maps are equal exactly
@@ -486,8 +481,7 @@ def _expand_runs(runs: RunMap) -> Counter:
 
 def _region_stats(p: Partition, kind: str) -> StatTable:
     """``_rising_stats`` of a whole region; NotRising for R1 and R2, whose rows fall."""
-    rows = _region_rows(p, kind)
-    return _rising_stats(rows, rows)
+    return _rising_stats(_region_rows(p, kind))
 
 
 def _rotated_rows(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -526,44 +520,45 @@ def _arm_slice_legs(
     return out
 
 
-def al_multiset(g: CellSet, e: CellSet | Iterable[Cell]) -> Counter:
-    """Multiset of (arm, leg) pairs of the cells of ``e`` measured inside ``g``."""
+def _members(g: CellSet, e: CellSet | Iterable[Cell]) -> frozenset[Cell]:
+    """The cells of ``e``, which must all lie in ``g`` (else NotASubset)."""
     members = e.cells if isinstance(e, CellSet) else frozenset(e)
     if not members <= g.cells:
         raise NotASubset("statistics requested for cells outside the diagram")
-    return Counter((g.arm(x), g.leg(x)) for x in members)
+    return members
+
+
+def al_multiset(g: CellSet, e: CellSet | Iterable[Cell]) -> Counter:
+    """Multiset of (arm, leg) pairs of the cells of ``e`` measured inside ``g``."""
+    return Counter((g.arm(x), g.leg(x)) for x in _members(g, e))
 
 
 def hook_multiset(g: CellSet, e: CellSet | Iterable[Cell]) -> Counter:
     """Multiset of hook lengths of the cells of ``e`` measured inside ``g``."""
-    members = e.cells if isinstance(e, CellSet) else frozenset(e)
-    if not members <= g.cells:
-        raise NotASubset("statistics requested for cells outside the diagram")
-    return Counter(g.hook(x) for x in members)
+    return Counter(g.hook(x) for x in _members(g, e))
+
+
+def _rightmost(g: CellSet, i: int) -> list[tuple[int, list[int]]]:
+    """(r, its i rightmost columns) of each occupied row r of ``g``, bottom
+    row first; a row with fewer than i cells raises IndexOutOfRange."""
+    _require_int(i, "arm index", 1)
+    out = []
+    for r in g.occupied_rows():
+        cols = g.row_cols(r)
+        if len(cols) < i:
+            raise IndexOutOfRange(f"row {r} has only {len(cols)} cells, need {i}")
+        out.append((r, cols[-i:]))
+    return out
 
 
 def arm_slice(g: CellSet, i: int) -> CellSet:
     """Cells whose arm inside ``g`` is exactly i-1: the i-th cell from the right of each row."""
-    _require_int(i, "arm index", 1)
-    picked = []
-    for r in g.occupied_rows():
-        cols = g.row_cols(r)
-        if len(cols) < i:
-            raise IndexOutOfRange(f"row {r} has only {len(cols)} cells, need {i}")
-        picked.append((r, cols[-i]))
-    return CellSet(picked)
+    return CellSet((r, cols[0]) for r, cols in _rightmost(g, i))
 
 
 def arm_prefix(g: CellSet, i: int) -> CellSet:
     """Cells whose arm inside ``g`` is at most i-1: the i rightmost cells of each row."""
-    _require_int(i, "arm index", 1)
-    picked = []
-    for r in g.occupied_rows():
-        cols = g.row_cols(r)
-        if len(cols) < i:
-            raise IndexOutOfRange(f"row {r} has only {len(cols)} cells, need {i}")
-        picked.extend((r, c) for c in cols[-i:])
-    return CellSet(picked)
+    return CellSet((r, c) for r, cols in _rightmost(g, i) for c in cols)
 
 
 def multiset_to_json(m: Counter) -> list[dict]:

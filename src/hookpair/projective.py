@@ -264,11 +264,6 @@ class MDecomposition(NamedTuple):
         return all(self.checks.values())
 
 
-def _same_legs(a, b) -> bool:
-    """Whether two leg lists hold each leg equally often."""
-    return sorted(a) == sorted(b)
-
-
 def _row_sums(rows: list[tuple[int, int]]) -> list[int]:
     """r + hi of every row r."""
     return [r + hi for r, (_, hi) in enumerate(rows, 1)]
@@ -324,7 +319,7 @@ def _cut_legs(
         m3_sorted, m4_sorted = sorted(m3), sorted(m4)
 
         checks = {
-            "m1_vs_m2": _same_legs(m1, m2),
+            "m1_vs_m2": sorted(m1) == sorted(m2),
             "m11_vs_m3": sorted(m11) == m3_sorted,
             "m12_range": sorted(m12) == list(range(u - s_eff, k - s_eff + 1)),
             "m21_range": sorted(m21) == list(range(0, k - s_eff + 1)),

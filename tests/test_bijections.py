@@ -21,6 +21,7 @@ from hookpair.bijections import (
 )
 from hookpair.cli import main
 from hookpair.diagrams import (
+    CellSet,
     Partition,
     _region_stats,
     al_multiset,
@@ -456,6 +457,42 @@ class TestCertificateFailures:
         cert = build_certificate(partial_map(), strip, strip, {"Tstar": (star, star)})
         assert not cert.verdict
         assert any(f["kind"] == "domain-mismatch" for f in cert.failures)
+
+    def test_unknown_target_tag_is_checked_no_further(self):
+        # the stray entry's target is in no region, yet it is neither
+        # off-region nor recorded: its tag has no row in targets
+        strip = build_region(TWO_CELL, "T")
+        star = build_region(TWO_CELL, "Tstar")
+        cmap = CellMap(
+            "T",
+            [
+                MapEntry((1, 1), (2, 2), "Tstar", (0, 0)),
+                MapEntry((2, 2), (9, 9), "X", (0, 0)),
+            ],
+        )
+        cert = build_certificate(cmap, strip, strip, {"Tstar": (star, star)})
+        assert cert.failures == (
+            {"kind": "unknown-target-tag", "tag": "X"},
+            {"kind": "image-incomplete", "tag": "Tstar", "missing": [(1, 1)]},
+        )
+        assert [r.source for r in cert.records] == [(1, 1)]
+
+    def test_target_outside_its_ambient_is_an_error(self):
+        # a target among its tag's members but not in the tag's ambient
+        # region has no statistic to compare
+        strip = build_region(TWO_CELL, "T")
+        star = build_region(TWO_CELL, "Tstar")
+        members = CellSet([*star, (3, 3)])
+        cmap = CellMap(
+            "T",
+            [
+                MapEntry((1, 1), (3, 3), "Tstar", (0, 0)),
+                MapEntry((2, 2), (1, 1), "Tstar", (0, 0)),
+            ],
+        )
+        with pytest.raises(CellNotInSet) as exc:
+            build_certificate(cmap, strip, strip, {"Tstar": (star, members)})
+        assert exc.value.args == ("cell (3, 3) not in the set",)
 
     def test_source_outside_ambient_detected(self):
         strip = build_region(TWO_CELL, "T")

@@ -563,3 +563,27 @@ def test_closed_output_pipe_exits_141_quietly(argv, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_closed_stdout_exits_with_the_checks_status(tmp_path):
+    # with fd 1 closed at start, sys.stdout is None and print does nothing:
+    # the flush before exit must not turn a pass into a traceback and status 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(hookpair.__file__).resolve().parent.parent),
+                      env.get("PYTHONPATH")])
+    )
+    env.pop("HOOKPAIR_JOBS", None)
+    closed, devnull = tmp_path / "closed.json", tmp_path / "devnull.json"
+    sweep = ["sweep", "--max-k", "2", "--max-n", "2", "--out"]
+    verify = ["verify", "--k", "2", "--n", "2", "--alpha", "2,1", "--theorem", "2"]
+    for argv in ([*sweep, str(closed)], verify):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hookpair.cli", *argv], stderr=subprocess.PIPE,
+            env=env, timeout=60, preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+    proc = subprocess.run([sys.executable, "-m", "hookpair.cli", *sweep, str(devnull)],
+                          stdout=subprocess.DEVNULL, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert closed.read_bytes() == devnull.read_bytes()

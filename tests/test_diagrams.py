@@ -238,9 +238,19 @@ class TestCellSet:
 
     def test_empty_transforms_rejected(self):
         empty = CellSet()
-        for op in (empty.rotate180, empty.reflect_vertical, empty.normalize):
-            with pytest.raises(EmptySet):
+        for op in (empty.bounds, empty.rotate180, empty.reflect_vertical, empty.normalize):
+            with pytest.raises(EmptySet, match="^operation needs a non-empty cell set$"):
                 op()
+
+    def test_equality_hash_and_repr(self):
+        g = CellSet({(2, 1), (1, 1)})
+        same = CellSet([(1, 1), (2, 1), (1, 1)])
+        assert g == same and hash(g) == hash(same)
+        assert g != CellSet({(1, 1)})
+        # any other type is unequal, through NotImplemented
+        assert g.__eq__(g.cells) is NotImplemented
+        assert g != g.cells and g != [(1, 1), (2, 1)]
+        assert repr(g) == "CellSet([(1, 1), (2, 1)])"
 
     def test_json_round_trip(self):
         g = CellSet({(1, 1), (1, 2), (3, 4)})
@@ -396,19 +406,19 @@ class TestRisingLeg:
     )
     def test_falling_rows_rejected(self, rows):
         with pytest.raises(NotRising):
-            _rising_stats(rows, rows)
+            _rising_stats(rows)
 
     def test_mirrored_rectangle_halves_rejected(self):
         p = Partition((6, 5, 3, 1), 4, 6)
         for kind in ("R1", "R2"):
             rows = _region_rows(p, kind)
             with pytest.raises(NotRising):
-                _rising_stats(rows, rows)
+                _rising_stats(rows)
 
     def test_empty_rows_are_skipped(self):
         rows = [(1, 0), (1, 2), (9, 3), (2, 4), (5, 4), (2, 6)]
         g = CellSet.from_row_intervals(dict(enumerate(rows, 1)))
-        stats = _rising_stats(rows, rows)
+        stats = _rising_stats(rows)
         assert list(stats) == list(g)
         for (r, c), (_, leg) in stats.items():
             assert leg == leg_by_scan(g, (r, c)), (r, c)
@@ -465,8 +475,8 @@ class TestRegionStats:
                 _region_stats(p, kind)
 
     def test_part_stats_match_scans_sweep(self):
-        # the parts on either side of every line r + c = total, measured in
-        # the whole region
+        # the runs of the parts on either side of every line r + c = total,
+        # measured in the whole region, cell by cell
         for p in sweep_partitions(3, 3):
             for kind in self.KINDS:
                 rows = _region_rows(p, kind)
@@ -474,7 +484,11 @@ class TestRegionStats:
                 scanned = [(x, (arm_by_scan(g, x), leg_by_scan(g, x))) for x in g]
                 for total, keep, part in line_parts(p, rows):
                     want = [(x, al) for x, al in scanned if (sum(x) <= total) is keep]
-                    got = list(_rising_stats(rows, part).items())
+                    got = [
+                        ((r, c), (hi - c, leg))
+                        for r, hi, leg, c0, c1 in _leg_runs(rows, part)
+                        for c in range(c0, c1 + 1)
+                    ]
                     assert got == want, (p, kind, total, keep)
 
 
@@ -493,7 +507,11 @@ class TestRunMaps:
 
     @staticmethod
     def expected(rows, part):
-        return Counter(_rising_stats(rows, part).values())
+        # the whole shape's table, restricted to the part's cells
+        return Counter(
+            al for (r, c), al in _rising_stats(rows).items()
+            if part[r - 1][0] <= c <= part[r - 1][1]
+        )
 
     def assert_lines_expand(self, p, totals=None):
         for kind in self.KINDS:
@@ -528,7 +546,7 @@ class TestRunMaps:
         p = Partition((4, 2, 1), 3, 4)
         rows = _region_rows(p, "SQ")
         runs = _rising_runs(rows, rows)
-        arm, leg = next(iter(_rising_stats(rows, rows).values()))
+        arm, leg = next(iter(_rising_stats(rows).values()))
         moved = dict(runs)
         plant_one_arm_run(moved, arm, leg, -1)
         plant_one_arm_run(moved, arm, leg + 1)

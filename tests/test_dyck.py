@@ -262,6 +262,12 @@ class TestPairing:
         with pytest.raises(NoMatchingDownStep):
             pair_updown(broken)
 
+    def test_open_up_step_detected(self):
+        d = build_dyck(build_sigma(Partition((1, 1), k=2, n=1), 1))
+        broken = DyckPath(d.steps[:3], d.ordinates[:4])
+        with pytest.raises(NoMatchingDownStep, match="^up step x1 was never matched$"):
+            pair_updown(broken)
+
 
 def reference_pairings(p):
     """(i, P_i) at every cut, read off the label word and its path."""

@@ -349,7 +349,7 @@ class TestRowIntervals:
     @staticmethod
     def assert_scan_statistics(rows, note):
         g = CellSet.from_row_intervals(dict(enumerate(rows, 1)))
-        stats = _rising_stats(rows, rows)
+        stats = _rising_stats(rows)
         assert list(stats) == list(g), note
         for x, got in stats.items():
             assert got == (arm_by_scan(g, x), leg_by_scan(g, x)), (note, x)
@@ -548,14 +548,24 @@ class TestDecompositionKernel:
     def test_matches_reference_on_sampled_large_members(self):
         assert self.assert_matches_reference(sampled_members(17, 7, 30, 12)) > 100
 
-    def test_leg_lists_compare_multiplicities(self):
+    def test_leg_lists_compare_multiplicities(self, monkeypatch):
+        # m2 with its first leg read twice holds the same legs as m1 as
+        # sets, one multiplicity apart
         import hookpair.projective as pj
 
-        assert pj._same_legs([0, 1, 0], [0, 0, 1])
-        assert pj._same_legs([2, 1], range(1, 3))
-        # the same legs as sets, one multiplicity apart
-        assert not pj._same_legs([0, 0, 1], [0, 1, 1])
-        assert not pj._same_legs([1, 1, 2], range(1, 3))
+        slices = []
+
+        def first_leg_twice_in_m2(rows, ends, i, first=1):
+            slices.append(_arm_slice_legs(rows, ends, i, first))
+            legs = slices[-1]
+            return legs + legs[:1] if len(slices) == 2 else legs  # m1, m2, m3, m4
+
+        monkeypatch.setattr(pj, "_arm_slice_legs", first_leg_twice_in_m2)
+        with pytest.raises(CounterexampleFound) as exc:
+            m_decomposition(GOLD, 5)
+        m1, m2 = slices[:2]
+        assert sorted(m1) == sorted(m2) and set(m2 + m2[:1]) == set(m1)
+        assert "m1_vs_m2" in exc.value.detail["failed"]
 
     def test_report_builds_one_shifted_strip_per_shift_row(self, monkeypatch):
         import hookpair.projective as pj

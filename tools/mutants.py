@@ -114,9 +114,9 @@ MUTANTS = (
     ),
     Mutant(
         "legs-compared-as-sets", PROJECTIVE,
-        "    return sorted(a) == sorted(b)",
-        "    return set(a) == set(b)",
-        "leg lists compared as sets ignore multiplicities",
+        "\"m1_vs_m2\": sorted(m1) == sorted(m2),",
+        "\"m1_vs_m2\": set(m1) == set(m2),",
+        "m1 and m2 compared as sets ignore multiplicities",
     ),
     Mutant(
         "shift-row-scan-strict", PROJECTIVE,
@@ -179,7 +179,7 @@ MUTANTS = (
         "stats-measure-whole-shape", DIAGRAMS,
         "enumerate(zip(rows, part), 1)",
         "enumerate(zip(rows, rows), 1)",
-        "the (arm, leg) table and run map of a part hold every cell of its shape",
+        "the run map of a part holds every cell of its shape",
     ),
     Mutant(
         "stats-run-last-cell-dropped", DIAGRAMS,
@@ -232,6 +232,25 @@ MUTANTS = (
         "        c = hi - i + 1\n",
         "        c = hi - i\n",
         "the leg kernel measures the arm-i cell of each row instead of the arm-(i-1) one",
+    ),
+    Mutant(
+        "rightmost-walk-column-short", DIAGRAMS,
+        "out.append((r, cols[-i:]))",
+        "out.append((r, cols[-i + 1:]))",
+        "arm_slice and arm_prefix read each row's i-1 rightmost columns, not i",
+    ),
+    Mutant(
+        "subset-check-strict", DIAGRAMS,
+        "    if not members <= g.cells:",
+        "    if not members < g.cells:",
+        "al_multiset and hook_multiset reject the whole diagram as not a subset",
+    ),
+    Mutant(
+        "bounds-without-empty-check", DIAGRAMS,
+        "        if not self._cells:\n"
+        "            raise EmptySet(\"operation needs a non-empty cell set\")\n",
+        "",
+        "bounds and the transforms built on it fail on an empty set with min()'s ValueError",
     ),
     Mutant(
         "repro-without-theorem", DIAGRAMS,
