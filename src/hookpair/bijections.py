@@ -311,11 +311,7 @@ def build_certificate(
     if stat == "hook":
         return _hook_view(build_certificate(cmap, source_ambient, source_members, targets))
     source = _measured(source_ambient)
-    images = {}
-    for tag, (ambient, members) in targets.items():
-        if isinstance(members, CellSet):
-            members = members.cells
-        images[tag] = _measured(ambient), members
+    images = {tag: (_measured(ambient), members) for tag, (ambient, members) in targets.items()}
     failures: list[dict] = []
     records: list[CertRecord] = []
 
@@ -420,17 +416,17 @@ def theorem_report(p: Partition, which: int) -> dict:
         raise UnknownChoice(f"theorem must be 1, 2 or 3, got {which!r}")
     ((stat, left, right, cert),) = _witnesses(p, (which,))
     to_json = multiset_to_json if stat == "al" else hook_multiset_to_json
-    oracle_equal = left == right
+    difference = first_multiset_difference(left, right)
     return {
         **_case(p, which),
         "oracle": {
             "left": to_json(left),
             "right": to_json(right),
-            "equal": oracle_equal,
-            "firstDifference": first_multiset_difference(left, right),
+            "equal": difference is None,
+            "firstDifference": difference,
         },
         "certificate": cert.to_json(),
-        "verdict": "pass" if oracle_equal and cert.verdict else "fail",
+        "verdict": "pass" if difference is None and cert.verdict else "fail",
     }
 
 

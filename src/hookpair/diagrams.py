@@ -306,19 +306,6 @@ class CellSet:
             out.append((r, cols[0], cols[-1]))
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "rows": [
-                {"row": r, "colMin": lo, "colMax": hi} for r, lo, hi in self.row_intervals()
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CellSet":
-        return cls.from_row_intervals(
-            {entry["row"]: (entry["colMin"], entry["colMax"]) for entry in data["rows"]}
-        )
-
 
 def _region_rows(p: Partition, kind: str) -> list[tuple[int, int]]:
     """Column interval (lo, hi) of each row of a named region, bottom row first.

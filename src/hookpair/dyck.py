@@ -102,14 +102,6 @@ class DyckPath(_Record):
     def max_height(self) -> int:
         return max(self.ordinates)
 
-    def to_json(self) -> dict:
-        return {
-            "steps": [
-                {"dir": d, "kind": lab.kind, "index": lab.index}
-                for d, lab in self.steps
-            ]
-        }
-
     def render_text(self) -> str:
         """Two aligned lines: U/D characters over the label names."""
         tops, bottoms = [], []

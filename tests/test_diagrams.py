@@ -252,28 +252,11 @@ class TestCellSet:
         assert g != g.cells and g != [(1, 1), (2, 1)]
         assert repr(g) == "CellSet([(1, 1), (2, 1)])"
 
-    def test_json_round_trip(self):
-        g = CellSet({(1, 1), (1, 2), (3, 4)})
-        data = g.to_json()
-        assert data == {
-            "rows": [
-                {"row": 1, "colMin": 1, "colMax": 2},
-                {"row": 3, "colMin": 4, "colMax": 4},
-            ]
-        }
-        assert CellSet.from_json(data) == g
-
-    def test_json_rejects_ragged_row(self):
-        with pytest.raises(ValueError):
-            CellSet({(1, 1), (1, 3)}).to_json()
-
     def test_ragged_row_is_a_package_error(self):
-        g = CellSet({(1, 1), (1, 3), (2, 2)})
-        for call in (g.row_intervals, g.to_json):
-            with pytest.raises(HookpairError) as exc:
-                call()
-            assert isinstance(exc.value, NotContiguous)
-            assert str(exc.value) == "row 1 is not contiguous"
+        with pytest.raises(HookpairError) as exc:
+            CellSet({(1, 1), (1, 3), (2, 2)}).row_intervals()
+        assert isinstance(exc.value, NotContiguous)
+        assert str(exc.value) == "row 1 is not contiguous"
 
     @pytest.mark.parametrize(
         "cells",
@@ -295,14 +278,12 @@ class TestCellSet:
 
     @pytest.mark.parametrize("bounds", [(1, 2.0), (1.0, 2), (True, 2), (1, "2")])
     def test_json_rejects_non_int_bounds(self, bounds):
-        lo, hi = bounds
-        data = {"rows": [{"row": 1, "colMin": lo, "colMax": hi}]}
         with pytest.raises(NotAnInteger):
-            CellSet.from_json(data)
+            CellSet.from_row_intervals({1: bounds})
 
     def test_json_rejects_non_int_row(self):
         with pytest.raises(NotAnInteger):
-            CellSet.from_json({"rows": [{"row": 1.5, "colMin": 1, "colMax": 2}]})
+            CellSet.from_row_intervals({1.5: (1, 2)})
 
     @given(cell_sets)
     def test_skew_valid_against_scan(self, g):
@@ -608,6 +589,29 @@ class TestShapeIdentities:
                 assert r2.reflect_vertical() == t1.normalize()
             else:
                 assert len(t1) == 0
+
+
+class TestConjugation:
+    """The anti-transpose maps SQ, R and D of alpha onto those of its
+    conjugate and swaps arm and leg, so identities 1 and 2 at alpha and at
+    conjugate(alpha) say the same thing."""
+
+    @staticmethod
+    def assert_transposed(p):
+        q = conjugate(p)
+        for kind in ("SQ", "R", "D"):
+            g, h = build_region(p, kind), build_region(q, kind)
+            swapped = Counter({(leg, arm): n for (arm, leg), n in al_multiset(h, h).items()})
+            assert al_multiset(g, g) == swapped, (p, kind)
+            assert hook_multiset(g, g) == hook_multiset(h, h), (p, kind)
+
+    def test_sweep(self):
+        for p in sweep_partitions(5, 5):
+            self.assert_transposed(p)
+
+    @given(partitions(max_k=12, max_n=12))
+    def test_sampled(self, p):
+        self.assert_transposed(p)
 
 
 class TestStatisticsOnRegions:

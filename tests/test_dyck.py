@@ -172,17 +172,6 @@ class TestDyckPath:
         with pytest.raises(NotAnInteger):
             d.step_height(1.0)
 
-    def test_json_form(self):
-        d = build_dyck(build_sigma(Partition((1, 0), k=2, n=1), 1))
-        assert d.to_json() == {
-            "steps": [
-                {"dir": 1, "kind": "x", "index": 1},
-                {"dir": -1, "kind": "z", "index": 2},
-                {"dir": 1, "kind": "x", "index": 2},
-                {"dir": -1, "kind": "z", "index": 1},
-            ]
-        }
-
     def test_text_rendering(self):
         d = build_dyck(build_sigma(Partition((1, 0), k=2, n=1), 1))
         assert d.render_text() == "U  D  U  D\nx1 z2 x2 z1"

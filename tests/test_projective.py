@@ -521,6 +521,48 @@ class TestMDecomposition:
         }
 
 
+class TestArmClassLinks:
+    """Per arm class of P(SQ), p(R) and q(D), read off built cell sets: the
+    facts that tie the per-cut checks to the diagonal identity."""
+
+    @staticmethod
+    def arm_classes(b):
+        """{kind: {arm: legs}} of P(SQ), p(R) and q(D), each cell measured
+        in its whole region."""
+        out = {}
+        for kind, half in (("SQ", 0), ("R", 0), ("D", 1)):
+            g = build_region(b.alpha, kind)
+            classes = {}
+            for x in split_pq(g, kind, b)[half]:
+                classes.setdefault(g.arm(x), []).append(g.leg(x))
+            out[kind] = classes
+        return out
+
+    def test_arms_never_exceed_k(self):
+        for b in family_members(7):
+            for kind, classes in self.arm_classes(b).items():
+                assert max(classes, default=0) <= b.k, (b.lam, kind)
+
+    def test_low_part_of_r_has_every_low_leg_once(self):
+        for b in family_members(7):
+            for arm, legs in self.arm_classes(b)["R"].items():
+                assert sorted(legs) == list(range(arm)), (b.lam, arm)
+
+    def test_shift_row_cuts_read_m3_and_m4(self):
+        cuts = 0
+        for b in family_members(7):
+            classes = self.arm_classes(b)
+            for i in range(1, b.k + 2):
+                try:
+                    dec = m_decomposition(b, i)
+                except NoShiftRow:
+                    continue
+                cuts += 1
+                assert Counter(classes["SQ"].get(i - 1, [])) == dec.m3, (b.lam, i)
+                assert Counter(classes["D"].get(i - 1, [])) == dec.m4, (b.lam, i)
+        assert cuts == 1291
+
+
 class TestDecompositionKernel:
     """The cut kernel against a direct construction, and what it builds."""
 

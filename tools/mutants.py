@@ -308,6 +308,18 @@ MUTANTS = (
         "a certificate counts an image cell as covered under any tag",
     ),
     Mutant(
+        "report-equal-inverted", BIJECTIONS,
+        "\"equal\": difference is None,",
+        "\"equal\": difference is not None,",
+        "a report's oracle says its multisets are equal exactly when they differ",
+    ),
+    Mutant(
+        "report-verdict-either-witness", BIJECTIONS,
+        "\"pass\" if difference is None and cert.verdict else",
+        "\"pass\" if difference is None or cert.verdict else",
+        "a report passes when either witness passes, not only when both do",
+    ),
+    Mutant(
         "identity-1-reads-al", DIAGRAMS,
         "1: (\"hook\", \"SQ\", (\"R\", \"D\")),",
         "1: (\"al\", \"SQ\", (\"R\", \"D\")),",
