@@ -250,6 +250,29 @@ class BijectionCertificate(NamedTuple):
             "failures": list(self.failures),
         }
 
+    def hook_view(self) -> BijectionCertificate:
+        """The hook certificate of the map, read off this (arm, leg) one.
+
+        The hook of a cell is arm + leg + 1 in every region, so each statistic
+        (a, l) becomes (a + l + 1,), a stat-mismatch whose hooks agree is dropped
+        and the others carry hooks; every other failure is the same for both
+        statistics.  Failures keep their order, and the verdict is recomputed.
+        """
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        records = tuple(
+            tuple.__new__(CertRecord, (source, target, tag, (a + l + 1,), (b + m + 1,)))
+            for source, target, tag, (a, l), (b, m) in self.records
+        )
+        failures = []
+        for f in self.failures:
+            if f["kind"] == "stat-mismatch":
+                (a, l), (b, m) = f["sourceStat"], f["targetStat"]
+                if a + l == b + m:
+                    continue
+                f = {**f, "sourceStat": [a + l + 1], "targetStat": [b + m + 1]}
+            failures.append(f)
+        return BijectionCertificate(records, not failures, tuple(failures))
+
 
 def _measured(region: CellSet | StatTable) -> StatTable:
     """{cell: (arm, leg)} over an ambient region; a CellSet is measured once here."""
@@ -258,35 +281,17 @@ def _measured(region: CellSet | StatTable) -> StatTable:
     return region
 
 
-def _hook_view(cert: BijectionCertificate) -> BijectionCertificate:
-    """The hook certificate of a map, read off its (arm, leg) certificate.
-
-    The hook of a cell is arm + leg + 1 in every region, so each statistic
-    (a, l) becomes (a + l + 1,), a stat-mismatch whose hooks agree is dropped
-    and the others carry hooks; every other failure is the same for both
-    statistics.  Failures keep their order, and the verdict is recomputed.
-    """
-    # tuple.__new__ skips the named tuple's Python-level __new__
-    records = tuple(
-        tuple.__new__(CertRecord, (source, target, tag, (a + l + 1,), (b + m + 1,)))
-        for source, target, tag, (a, l), (b, m) in cert.records
-    )
-    failures = []
-    for f in cert.failures:
-        if f["kind"] == "stat-mismatch":
-            (a, l), (b, m) = f["sourceStat"], f["targetStat"]
-            if a + l == b + m:
-                continue
-            f = {**f, "sourceStat": [a + l + 1], "targetStat": [b + m + 1]}
-        failures.append(f)
-    return BijectionCertificate(records, not failures, tuple(failures))
+def _multiset(tables: Iterable[StatTable]) -> Counter:
+    """(arm, leg) pairs of every cell of the tables, counted."""
+    return Counter(al for t in tables for al in t.values())
 
 
-def _multiset(stat: str, tables: Iterable[StatTable]) -> Counter:
-    """(arm, leg) pairs or hooks of every cell of the tables, counted."""
-    if stat == "al":
-        return Counter(al for t in tables for al in t.values())
-    return Counter(arm + leg + 1 for t in tables for arm, leg in t.values())
+def _hook_image(al: Counter) -> Counter:
+    """The hooks of an (arm, leg) multiset: each pair (a, l) counts as a + l + 1."""
+    hooks: Counter = Counter()
+    for (arm, leg), count in al.items():
+        hooks[arm + leg + 1] += count
+    return hooks
 
 
 def build_certificate(
@@ -294,22 +299,17 @@ def build_certificate(
     source_ambient: CellSet | StatTable,
     source_members: Iterable[Cell],
     targets: Mapping[str, tuple[CellSet | StatTable, CellSet | StatTable]],
-    stat: str = "al",
 ) -> BijectionCertificate:
     """Check a CellMap against expected domain, image, and statistics.
 
     targets maps each tag to (ambient region, expected image cells).  The
     certificate fails if the domain differs from source_members, if two
     entries share a target, if the tagged images do not exactly cover the
-    expected cells, or if any entry changes the chosen statistic.  Regions
+    expected cells, or if any entry changes its (arm, leg) pair.  Regions
     may be CellSets or stat tables {cell: (arm, leg)}; each ambient CellSet
-    is measured once, on entry.  The hook certificate is the hook view of
-    the (arm, leg) one.
+    is measured once, on entry.  The hook certificate is the result's
+    ``hook_view()``.
     """
-    if stat not in ("al", "hook"):
-        raise UnknownChoice(f"stat must be 'al' or 'hook', got {stat!r}")
-    if stat == "hook":
-        return _hook_view(build_certificate(cmap, source_ambient, source_members, targets))
     source = _measured(source_ambient)
     images = {tag: (_measured(ambient), members) for tag, (ambient, members) in targets.items()}
     failures: list[dict] = []
@@ -382,8 +382,9 @@ def _witnesses(p: Partition, which: Iterable[int]) -> Iterator[tuple]:
     """(statistic, left multiset, right multiset, certificate) of each identity
     in ``which``, in its order: each region measured once, phi built once (from
     SQ's stat table when SQ is needed: a strip cell has the same arm and leg in
-    T as in SQ) and psi once, from phi's entries.  Each map is certified once,
-    for (arm, leg) pairs, and identity 1 reads the hook view of psi's."""
+    T as in SQ) and psi once, from phi's entries.  A source region's two (arm,
+    leg) multisets and certificate are made once, for its first identity, and
+    identity 1 reads their hook image."""
     specs = [_IDENTITIES[w] for w in which]
     kinds = dict.fromkeys(kind for _, source, targets in specs for kind in (source, *targets))
     stats = {kind: _region_stats(p, kind) for kind in kinds}
@@ -392,15 +393,16 @@ def _witnesses(p: Partition, which: Iterable[int]) -> Iterator[tuple]:
     if "SQ" in stats:
         maps["SQ"] = _psi(p, stats["SQ"], phi)
     del phi  # only identity 3 keeps phi's entries beside psi's
-    certs = {}
+    found = {}  # source region -> (left, right, certificate)
     for stat, source, targets in specs:
-        left = _multiset(stat, [stats[source]])
-        right = _multiset(stat, [stats[kind] for kind in targets])
-        if source not in certs:  # identities 1 and 2 both certify psi
+        if source not in found:  # identities 1 and 2 both read SQ's
             ambient = {kind: (stats[kind], stats[kind]) for kind in targets}
-            certs[source] = build_certificate(maps[source], stats[source], stats[source], ambient)
-        cert = certs[source]
-        yield stat, left, right, _hook_view(cert) if stat == "hook" else cert
+            cert = build_certificate(maps[source], stats[source], stats[source], ambient)
+            found[source] = _multiset([stats[source]]), _multiset(map(stats.get, targets)), cert
+        left, right, cert = found[source]
+        if stat == "hook":
+            left, right, cert = _hook_image(left), _hook_image(right), cert.hook_view()
+        yield stat, left, right, cert
 
 
 def theorem_report(p: Partition, which: int) -> dict:

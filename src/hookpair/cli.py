@@ -22,11 +22,8 @@ import json
 import os
 import sys
 
-from .diagrams import Partition, _IDENTITIES, _decimal, _require_int, build_region
+from .diagrams import Partition, REGION_KINDS, _IDENTITIES, _decimal, _require_int, build_region
 from .errors import CounterexampleFound, HookpairError, NotAnInteger, NotInFamily
-
-SHOW_KINDS = ("D", "R", "T", "V", "SQ", "Tstar")
-
 
 def _integer(text: str) -> int:
     """The type of every integer option: ``_decimal``, with its message
@@ -168,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_show = sub.add_parser("show", help="draw one region")
     _add_case_arguments(p_show)
-    p_show.add_argument("--region", required=True, choices=SHOW_KINDS)
+    p_show.add_argument("--region", required=True, choices=REGION_KINDS)
     p_show.add_argument(
         "--pq", action="store_true", help="shade the cells on or below the diagonal"
     )

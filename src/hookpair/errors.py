@@ -76,7 +76,7 @@ class NoShiftRow(HookpairError, ValueError):
 
 class UnknownChoice(HookpairError, ValueError):
     """A selector names none of its allowed choices: an identity, a zeta
-    kind, a statistic or a region kind."""
+    kind or a region kind."""
 
 
 class NotContiguous(HookpairError, ValueError):

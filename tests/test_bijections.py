@@ -23,6 +23,7 @@ from hookpair.cli import main
 from hookpair.diagrams import (
     CellSet,
     Partition,
+    _region_rows,
     _region_stats,
     al_multiset,
     arm_slice,
@@ -43,6 +44,7 @@ from hookpair.sweep import SweepConfig, _case_entries, run_sweep
 
 from util import (
     arm_by_scan,
+    complement,
     count_calls,
     count_cellsets,
     count_region_builds,
@@ -183,6 +185,27 @@ class TestPhi:
                 src = arm_slice(strip, i).cells
                 dst = arm_slice(star, i).cells
                 assert {cmap[c].target for c in src} == dst, (p, i)
+
+
+def assert_complement_inverts_phi(p):
+    """With beta_i = a_1 - a_{k+1-i}, T*(alpha) is T(beta), and phi_beta sends
+    every phi_alpha image back to its source."""
+    beta = complement(p)
+    assert _region_rows(p, "Tstar") == _region_rows(beta, "T"), p
+    there, back = phi_map(p), phi_map(beta)
+    for x in build_region(p, "T"):
+        assert back[there[x].target].target == x, (p, x)
+
+
+class TestComplement:
+    def test_inverts_phi_exhaustive(self):
+        for p in sweep_partitions(6, 6):
+            assert_complement_inverts_phi(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(partitions(max_k=25, max_n=25))
+    def test_inverts_phi_sampled(self, p):
+        assert_complement_inverts_phi(p)
 
 
 class TestPhiReference:
@@ -516,9 +539,9 @@ class TestCertificateFailures:
     def test_stat_tables_certify_like_cellsets(self, p, cmap, stat):
         strip, star = build_region(p, "T"), build_region(p, "Tstar")
         t_table, star_table = _region_stats(p, "T"), _region_stats(p, "Tstar")
-        from_sets = build_certificate(cmap(), strip, strip, {"Tstar": (star, star)}, stat)
-        from_tables = build_certificate(
-            cmap(), t_table, t_table, {"Tstar": (star_table, star_table)}, stat
+        from_sets = certify(stat, cmap(), strip, strip, {"Tstar": (star, star)})
+        from_tables = certify(
+            stat, cmap(), t_table, t_table, {"Tstar": (star_table, star_table)}
         )
         assert not from_sets.verdict
         assert from_tables == from_sets
@@ -529,33 +552,25 @@ class TestCertificateFailures:
         sq, rect, dgm = (build_region(FIG, kind) for kind in kinds)
         sq_t, rect_t, dgm_t = (_region_stats(FIG, kind) for kind in kinds)
         cmap = psi_map(FIG)
-        from_sets = build_certificate(
-            cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)}, stat
-        )
-        from_tables = build_certificate(
-            cmap, sq_t, sq_t, {"R": (rect_t, rect_t), "D": (dgm_t, dgm_t)}, stat
+        from_sets = certify(stat, cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)})
+        from_tables = certify(
+            stat, cmap, sq_t, sq_t, {"R": (rect_t, rect_t), "D": (dgm_t, dgm_t)}
         )
         assert from_sets.verdict and len(from_sets.records) == len(cmap)
         assert from_tables == from_sets
 
-    def test_unknown_stat_rejected(self):
-        strip = build_region(TWO_CELL, "T")
-        with pytest.raises(ValueError):
-            build_certificate(phi_map(TWO_CELL), strip, strip, {}, "coleg")
 
-    def test_unknown_stat_is_a_package_error(self):
-        strip = build_region(TWO_CELL, "T")
-        with pytest.raises(HookpairError) as exc:
-            build_certificate(phi_map(TWO_CELL), strip, strip, {}, "x")
-        assert isinstance(exc.value, UnknownChoice)
-        assert str(exc.value) == "stat must be 'al' or 'hook', got 'x'"
+def certify(stat, *args):
+    """build_certificate(*args), or its hook view when stat is "hook"."""
+    cert = build_certificate(*args)
+    return cert.hook_view() if stat == "hook" else cert
 
 
 def hook_certificate(p, cmap):
     """The hook certificate of a map SQ -> R + D, from the stat tables the
     witness pass reads."""
     sq, rect, dgm = (_region_stats(p, kind) for kind in ("SQ", "R", "D"))
-    return build_certificate(cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)}, "hook")
+    return build_certificate(cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)}).hook_view()
 
 
 def moved_target(p, cmap, pick):
@@ -680,9 +695,22 @@ class TestHookView:
         case = ("box", ("1", "2"), FIG.parts, FIG.k, FIG.n)
         calls = count_calls(monkeypatch, bj, "build_certificate", lambda: _case_entries(case))
         assert len(calls) == 1 and calls[0][0].source_tag == "SQ"
-        # identity 1 alone is certified for (arm, leg) pairs too: no stat argument
+        # identity 1 alone is certified once too, for (arm, leg) pairs
         calls = count_calls(monkeypatch, bj, "build_certificate", lambda: theorem_report(FIG, 1))
         assert [len(args) for args in calls] == [4]
+
+    @pytest.mark.parametrize(
+        "theorems, counted", [(("1", "2"), 2), (("1", "2", "3"), 4)], ids=["1-2", "1-2-3"]
+    )
+    def test_multisets_counted_once_per_source(self, monkeypatch, theorems, counted):
+        # identities 1 and 2 read SQ's, R's and D's (arm, leg) multisets, counted once
+        import hookpair.bijections as bj
+
+        case = ("box", theorems, FIG.parts, FIG.k, FIG.n)
+        calls = count_calls(monkeypatch, bj, "_multiset", lambda: _case_entries(case))
+        assert len(calls) == counted
+        calls = count_calls(monkeypatch, bj, "_multiset", lambda: theorem_report(FIG, 1))
+        assert len(calls) == 2
 
 
 class TestTheorems:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -16,13 +17,15 @@ import hookpair.cli as cli
 import hookpair.projective as pj
 import hookpair.sweep as sweep_mod
 from hookpair.bijections import MapEntry, verify_theorem
-from hookpair.diagrams import Partition
-from hookpair.errors import CounterexampleFound, NotInFamily
+from hookpair.diagrams import Partition, _region_rows, build_region
+from hookpair.errors import CounterexampleFound, KindWithoutDiagonal, NotInFamily
 from hookpair.projective import StrictPartition, alpha_from_strict, m_decomposition, verify_projective
+from hookpair.render import render_ascii
 
 from util import plant_one_arm_run
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 SHOW_ARGS = ["show", "--k", "1", "--n", "1", "--alpha", "1", "--region", "D"]
 # What a console-script wrapper runs: argv[0] is the script name and the
 # entry point's return value is the exit status.
@@ -55,6 +58,24 @@ def run_cli(*argv, capsys=None):
 TWO_CELL = Partition((1, 0), k=2, n=1)
 SMALL = alpha_from_strict(StrictPartition((4, 2), k=5))
 SMALL_REPRO = "hookpair verify --k 5 --n 6 --alpha 5,4,2,1,0 --theorem proj"
+# the rectangle and T* halves, which show draws like the other six kinds;
+# (0, 0) and (2, 2) leave two of them empty each
+SPLIT_KINDS = ["R1", "R2", "T1star", "T2star"]
+SPLIT_CASES = [
+    Partition((6, 5, 3, 1), k=4, n=6), SMALL.alpha,
+    Partition((0, 0), k=2, n=2), Partition((2, 2), k=2, n=2),
+]
+
+
+def case_args(p):
+    return ["--k", str(p.k), "--n", str(p.n), "--alpha", ",".join(map(str, p.parts))]
+
+
+def drawing(p, kind):
+    """What show prints for a region without options: its drawing, or an
+    empty line when it has no cell."""
+    g = build_region(p, kind)
+    return (render_ascii(g) if len(g) else "") + "\n"
 
 
 def plant_collision(monkeypatch):
@@ -381,6 +402,32 @@ class TestShow:
         assert code == 0
         assert out == expected
 
+    @pytest.mark.parametrize("kind", SPLIT_KINDS)
+    def test_split_kinds_draw_their_region(self, capsys, kind):
+        for p in SPLIT_CASES:
+            code, out, err = run_cli("show", *case_args(p), "--region", kind, capsys=capsys)
+            assert (code, out, err) == (0, drawing(p, kind), ""), p
+
+    @pytest.mark.parametrize("kind", SPLIT_KINDS)
+    def test_split_kinds_take_dots(self, capsys, kind):
+        # --dots 2 marks the second cell from the right of each row of two or more
+        for p in SPLIT_CASES:
+            code, out, err = run_cli(
+                "show", *case_args(p), "--region", kind, "--dots", "2", capsys=capsys
+            )
+            wide = sum(hi - lo >= 1 for lo, hi in _region_rows(p, kind))
+            assert (code, err) == (0, ""), p
+            assert out.replace("◉", "□") == drawing(p, kind), p
+            assert out.count("◉") == wide, p
+
+    @pytest.mark.parametrize("kind", SPLIT_KINDS)
+    def test_split_kinds_have_no_diagonal(self, capsys, kind):
+        argv = ["show", *case_args(SMALL.alpha), "--region", kind, "--pq"]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(KindWithoutDiagonal) as exc:
+            args.func(args)
+        assert run_cli(*argv, capsys=capsys) == (2, "", f"error: {exc.value}\n")
+
     def test_dots_must_be_positive(self, capsys):
         code, _, err = run_cli(
             "show", "--k", "1", "--n", "1", "--alpha", "1",
@@ -587,3 +634,24 @@ def test_closed_stdout_exits_with_the_checks_status(tmp_path):
                           stdout=subprocess.DEVNULL, env=env, timeout=60)
     assert proc.returncode == 0
     assert closed.read_bytes() == devnull.read_bytes()
+
+
+class TestReadme:
+    """The README's examples run as written."""
+
+    TEXT = README.read_text(encoding="utf-8")
+
+    def test_command_lines_exit_zero(self, tmp_path, monkeypatch, capsys):
+        # a trailing "# ..." on a line is a shell comment, not an argument
+        monkeypatch.chdir(tmp_path)
+        lines = [line for line in self.TEXT.splitlines() if line.startswith("hookpair ")]
+        assert lines
+        for line in lines:
+            assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+
+    def test_python_blocks_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        blocks = re.findall(r"^```python\n(.*?)^```", self.TEXT, re.S | re.M)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})

@@ -108,7 +108,7 @@ def hook_certificate_reference(p, cmap):
         {x: (g.arm(x) + g.leg(x) + 1,) for x in g}
         for g in (build_region(p, kind) for kind in ("SQ", "R", "D"))
     )
-    return build_certificate(cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)}, "al")
+    return build_certificate(cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)})
 
 
 def count_cellsets(monkeypatch, run):

@@ -278,9 +278,21 @@ MUTANTS = (
     ),
     Mutant(
         "hook-multiset-without-one", BIJECTIONS,
-        "Counter(arm + leg + 1 for t in tables",
-        "Counter(arm + leg for t in tables",
+        "hooks[arm + leg + 1] += count",
+        "hooks[arm + leg] += count",
         "the hook multisets of the oracle count arm + leg, not arm + leg + 1",
+    ),
+    Mutant(
+        "hook-identity-reads-pairs", BIJECTIONS,
+        "left, right, cert = _hook_image(left), _hook_image(right), cert.hook_view()",
+        "cert = cert.hook_view()",
+        "identity 1's oracle compares the (arm, leg) multisets, not their hook image",
+    ),
+    Mutant(
+        "witnesses-per-identity", BIJECTIONS,
+        "    for stat, source, targets in specs:\n",
+        "    for stat, source, targets in specs:\n        found = {}\n",
+        "identities 1 and 2 each count SQ's, R's and D's cells and certify psi anew",
     ),
     Mutant(
         "hook-view-without-one", BIJECTIONS,
@@ -290,15 +302,15 @@ MUTANTS = (
     ),
     Mutant(
         "hook-view-keeps-equal-hooks", BIJECTIONS,
-        "            if a + l == b + m:\n"
-        "                continue\n",
+        "                if a + l == b + m:\n"
+        "                    continue\n",
         "",
         "identity 1 fails on a stat-mismatch of (arm, leg) pairs whose hooks agree",
     ),
     Mutant(
         "hook-view-copies-verdict", BIJECTIONS,
         "BijectionCertificate(records, not failures, tuple(failures))",
-        "BijectionCertificate(records, cert.verdict, tuple(failures))",
+        "BijectionCertificate(records, self.verdict, tuple(failures))",
         "identity 1's certificate takes the (arm, leg) verdict, not the one of its own failures",
     ),
     Mutant(
