@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from . import _EXPORTS
 from .diagrams import (
     Cell,
-    CellSet,
     Partition,
     StatTable,
     _IDENTITIES,
@@ -274,13 +273,6 @@ class BijectionCertificate(NamedTuple):
         return BijectionCertificate(records, not failures, tuple(failures))
 
 
-def _measured(region: CellSet | StatTable) -> StatTable:
-    """{cell: (arm, leg)} over an ambient region; a CellSet is measured once here."""
-    if isinstance(region, CellSet):
-        return {x: (region.arm(x), region.leg(x)) for x in region}
-    return region
-
-
 def _multiset(tables: Iterable[StatTable]) -> Counter:
     """(arm, leg) pairs of every cell of the tables, counted."""
     return Counter(al for t in tables for al in t.values())
@@ -295,34 +287,27 @@ def _hook_image(al: Counter) -> Counter:
 
 
 def build_certificate(
-    cmap: CellMap,
-    source_ambient: CellSet | StatTable,
-    source_members: Iterable[Cell],
-    targets: Mapping[str, tuple[CellSet | StatTable, CellSet | StatTable]],
+    cmap: CellMap, source: StatTable, targets: Mapping[str, StatTable]
 ) -> BijectionCertificate:
     """Check a CellMap against expected domain, image, and statistics.
 
-    targets maps each tag to (ambient region, expected image cells).  The
-    certificate fails if the domain differs from source_members, if two
-    entries share a target, if the tagged images do not exactly cover the
-    expected cells, or if any entry changes its (arm, leg) pair.  Regions
-    may be CellSets or stat tables {cell: (arm, leg)}; each ambient CellSet
-    is measured once, on entry.  The hook certificate is the result's
-    ``hook_view()``.
+    Each side is one stat table {cell: (arm, leg)}: its keys are the expected
+    cells, and its values their statistics measured in the ambient region.
+    targets maps each tag to its table.  The certificate fails if the domain
+    differs from source's keys, if two entries share a target, if the tagged
+    images do not exactly cover their table's keys, or if any entry changes
+    its (arm, leg) pair.  The hook certificate is the result's ``hook_view()``.
     """
-    source = _measured(source_ambient)
-    images = {tag: (_measured(ambient), members) for tag, (ambient, members) in targets.items()}
     failures: list[dict] = []
     records: list[CertRecord] = []
 
-    expected_domain = set(source_members)
     domain = cmap.sources()
-    if domain != expected_domain:
+    if domain != source.keys():
         failures.append(
             {
                 "kind": "domain-mismatch",
-                "missing": sorted(expected_domain - domain),
-                "extra": sorted(domain - expected_domain),
+                "missing": sorted(source.keys() - domain),
+                "extra": sorted(domain - source.keys()),
             }
         )
 
@@ -339,11 +324,11 @@ def build_certificate(
             )
         seen[key] = e.source
 
-        if e.target_tag not in images:
+        if e.target_tag not in targets:
             failures.append({"kind": "unknown-target-tag", "tag": e.target_tag})
             continue
-        ambient, members = images[e.target_tag]
-        if e.source not in source or e.target not in members:
+        image = targets[e.target_tag]
+        if e.source not in source or e.target not in image:
             failures.append(
                 {
                     "kind": "off-region",
@@ -352,10 +337,7 @@ def build_certificate(
                 }
             )
             continue
-        s_stat = source[e.source]
-        t_stat = ambient.get(e.target)
-        if t_stat is None:
-            raise CellNotInSet(f"cell {e.target} not in the set")
+        s_stat, t_stat = source[e.source], image[e.target]
         records.append(CertRecord(e.source, e.target, e.target_tag, s_stat, t_stat))
         if s_stat != t_stat:
             failures.append(
@@ -368,8 +350,8 @@ def build_certificate(
                 }
             )
 
-    for tag, (_, members) in images.items():
-        missed = set(members) - {cell for t, cell in seen if t == tag}
+    for tag, image in targets.items():
+        missed = image.keys() - {cell for t, cell in seen if t == tag}
         if missed:
             failures.append(
                 {"kind": "image-incomplete", "tag": tag, "missing": sorted(missed)}
@@ -396,8 +378,7 @@ def _witnesses(p: Partition, which: Iterable[int]) -> Iterator[tuple]:
     found = {}  # source region -> (left, right, certificate)
     for stat, source, targets in specs:
         if source not in found:  # identities 1 and 2 both read SQ's
-            ambient = {kind: (stats[kind], stats[kind]) for kind in targets}
-            cert = build_certificate(maps[source], stats[source], stats[source], ambient)
+            cert = build_certificate(maps[source], stats[source], {t: stats[t] for t in targets})
             found[source] = _multiset([stats[source]]), _multiset(map(stats.get, targets)), cert
         left, right, cert = found[source]
         if stat == "hook":

@@ -29,6 +29,8 @@ from hookpair.errors import (
     WrongLength,
 )
 
+from util import cell_table
+
 P = Partition((3, 1), 2, 3)
 # the worked instance of the n = k+1 family: lambda = (9, 7, 4, 2), k = 12
 B = alpha_from_strict(StrictPartition((9, 7, 4, 2), 12))
@@ -36,8 +38,8 @@ CFG = SweepConfig(max_k=3, max_n=None, theorems=("projective",))
 
 
 def _certificate():
-    strip, star = build_region(P, "T"), build_region(P, "Tstar")
-    return build_certificate(phi_map(P), strip, strip, {"Tstar": (star, star)})
+    strip, star = (cell_table(build_region(P, kind)) for kind in ("T", "Tstar"))
+    return build_certificate(phi_map(P), strip, {"Tstar": star})
 
 
 SIGMA = build_sigma(P, 2)

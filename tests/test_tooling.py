@@ -122,6 +122,19 @@ def test_one_rising_check():
     assert len(_not_rising_raises(probe)) == 2
 
 
+def test_bijections_names_no_cellset():
+    # the certificate reads stat tables only; bijections measures no CellSet
+    tree = ast.parse((PACKAGE / "bijections.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "CellSet")
+        or (isinstance(node, ast.Attribute) and node.attr == "CellSet")
+        or (isinstance(node, ast.alias) and "CellSet" in (node.name, node.asname))
+    ]
+    assert found == []
+
+
 # dataclasses loads inspect, and only a sweep that starts workers needs
 # multiprocessing: a single ``hookpair verify`` should pay for none of them
 HEAVY_MODULES = {"dataclasses", "inspect", "multiprocessing"}

@@ -98,6 +98,12 @@ def count_region_builds(monkeypatch, run, function="build_region"):
     return sorted(calls)
 
 
+def cell_table(g, members=None):
+    """The stat table {x: (arm, leg)} of the cells ``members`` (all of g when
+    None), each measured in the CellSet g."""
+    return {x: (g.arm(x), g.leg(x)) for x in (g if members is None else members)}
+
+
 def hook_certificate_reference(p, cmap):
     """A hook certificate of a map SQ -> R + D measured directly: the
     certificate's (arm, leg) checking loop run over tables of hooks, each
@@ -108,7 +114,7 @@ def hook_certificate_reference(p, cmap):
         {x: (g.arm(x) + g.leg(x) + 1,) for x in g}
         for g in (build_region(p, kind) for kind in ("SQ", "R", "D"))
     )
-    return build_certificate(cmap, sq, sq, {"R": (rect, rect), "D": (dgm, dgm)})
+    return build_certificate(cmap, sq, {"R": rect, "D": dgm})
 
 
 def count_cellsets(monkeypatch, run):

@@ -314,6 +314,26 @@ MUTANTS = (
         "identity 1's certificate takes the (arm, leg) verdict, not the one of its own failures",
     ),
     Mutant(
+        "domain-missing-extra-swapped", BIJECTIONS,
+        "\"missing\": sorted(source.keys() - domain),\n"
+        "                \"extra\": sorted(domain - source.keys()),",
+        "\"missing\": sorted(domain - source.keys()),\n"
+        "                \"extra\": sorted(source.keys() - domain),",
+        "a domain-mismatch lists the extra sources as missing and the missing ones as extra",
+    ),
+    Mutant(
+        "injective-sources-swapped", BIJECTIONS,
+        "\"sources\": [list(seen[key]), list(e.source)],",
+        "\"sources\": [list(e.source), list(seen[key])],",
+        "a not-injective failure names the later source of the shared target first",
+    ),
+    Mutant(
+        "coverage-reads-source-table", BIJECTIONS,
+        "missed = image.keys() - {",
+        "missed = source.keys() - {",
+        "a certificate checks that the tagged images cover the source's cells, not the tag's",
+    ),
+    Mutant(
         "coverage-pooled", BIJECTIONS,
         "{cell for t, cell in seen if t == tag}",
         "{cell for _, cell in seen}",
